@@ -13,7 +13,6 @@ import numpy as np
 
 from cocktail import frontend
 from cocktail.scene import (
-    SAMPLE_RATE,
     HeadPose,
     Scene,
     SpeakerSpec,
@@ -30,24 +29,7 @@ def posterior_for(azimuth, seed=42, duration=1.0, noise_level=0.003):
                   schedule=TurnSchedule(((0.0, duration, 1),)),
                   noise_level=noise_level)
     clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-
-    bank = frontend.make_gammatone_bank()
-    stream = frontend.GammatoneStream(bank, channels=2)
-    bands = stream.process(np.stack([clip.left, clip.right]))
-
-    frame_n = int(round(frontend.FRAME_S * SAMPLE_RATE))
-    posterior = frontend.uniform_posterior()
-    start = 0
-    while start + frame_n <= bands.shape[2]:
-        salience = frontend.beamform_salience(
-            bands[:, 0, start : start + frame_n],
-            bands[:, 1, start : start + frame_n],
-            frame_s=frontend.FRAME_S,
-            hop_s=frontend.FRAME_S,
-        )
-        posterior = frontend.update_posterior(posterior, salience[0])
-        start += int(round(frontend.HOP_S * SAMPLE_RATE))
-    return posterior
+    return frontend.AzimuthTracker().feed(np.stack([clip.left, clip.right]))
 
 
 def sketch(posterior, width=37):

@@ -316,14 +316,7 @@ def run_episode(
     speaker = scene.speakers[0]
     fs = SAMPLE_RATE
 
-    bank = frontend.make_gammatone_bank(num_bands=config.num_bands)
-    stream = frontend.GammatoneStream(bank, channels=2)
-    frame_n = int(round(config.frame_s * fs))
-    hop_n = int(round(config.hop_s * fs))
-    band_l = np.zeros((config.num_bands, 0))
-    band_r = np.zeros((config.num_bands, 0))
-
-    posterior = frontend.uniform_posterior()
+    tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s, config.hop_s)
     ring = RingBuffer(EVIDENCE_WINDOW_SAMPLES)
     evidence = EvidenceBuffer()
     env_l = np.zeros(0)
@@ -333,7 +326,7 @@ def run_episode(
 
     def ingest(t0: float, duration: float, analyze_tail_s: float | None = None):
         """Render, buffer, and analyze ``[t0, t0 + duration)`` at `pose`."""
-        nonlocal band_l, band_r, env_l, env_r, mouth, posterior
+        nonlocal env_l, env_r, mouth
         clip = render_binaural(scene, pose, t0, duration, seed=render_seed)
         ring.push(clip.left, clip.right)
         stereo = np.stack([clip.left, clip.right])
@@ -350,24 +343,12 @@ def run_episode(
         mouth = np.concatenate([mouth, areas])
         if analyze_tail_s is not None:
             stereo = stereo[:, -int(round(analyze_tail_s * fs)) :]
-        bands = stream.process(stereo)
-        band_l = np.concatenate([band_l, bands[:, 0, :]], axis=1)
-        band_r = np.concatenate([band_r, bands[:, 1, :]], axis=1)
-        while band_l.shape[1] >= frame_n:
-            salience = frontend.beamform_salience(
-                band_l[:, :frame_n],
-                band_r[:, :frame_n],
-                frame_s=config.frame_s,
-                hop_s=config.frame_s,
-            )
-            posterior = frontend.update_posterior(posterior, salience[0])
-            band_l = band_l[:, hop_n:]
-            band_r = band_r[:, hop_n:]
+        tracker.feed(stereo)
 
-    def observe(t: float) -> int:
-        loc = term_index(classify(frontend.estimate_location(posterior)))
+    def observe() -> int:
+        loc = term_index(classify(frontend.estimate_location(tracker.posterior)))
         face = None
-        for sid, gx, gy in observe_visual(scene, pose, t).visible_faces:
+        for sid, gx, gy in observe_visual(scene, pose):
             if sid == speaker.id:
                 face = (gx, gy)
         return encode_state(loc, face, pose.pan)
@@ -382,10 +363,10 @@ def run_episode(
     steps = 0
     success = False
     trajectory = []
-    state = observe(PREROLL_S)
+    state = observe()
     for k in range(config.max_steps):
         t = PREROLL_S + k * config.step_s
-        evidence.maybe_capture(t, posterior, ring, pose)
+        evidence.maybe_capture(t, tracker.posterior, ring, pose)
         action = select_action(qtable.values[state], epsilon, rng)
         pose = step_head(pose, ACTIONS[action])
         ingest(t, config.step_s)
@@ -401,7 +382,7 @@ def run_episode(
         steps = k + 1
         success = hold >= FIXATION_HOLD_STEPS
         terminal = success or broken or steps >= config.max_steps
-        next_state = observe(t + config.step_s)
+        next_state = observe()
         if learn:
             q_update(qtable, state, action, step_reward.total, next_state, terminal)
         trajectory.append((state, ACTIONS[action], step_reward.total, next_state))
@@ -482,7 +463,8 @@ class EvalStats:
     steps: tuple
 
 
-def _episode_render_seed(seed: int, index: int) -> int:
+def episode_render_seed(seed: int, index: int) -> int:
+    """Render seed of episode ``index`` in a run seeded with ``seed``."""
     return (seed * 1_000_003 + index) % (2**31)
 
 
@@ -509,7 +491,7 @@ def train(
             rng=np.random.default_rng([seed, i, 1]),
             epsilon=epsilon_at(i, num_episodes),
             learn=True,
-            render_seed=_episode_render_seed(seed, i),
+            render_seed=episode_render_seed(seed, i),
         )
         outcomes.append(result.success)
         if callback is not None:
@@ -556,7 +538,7 @@ def evaluate(
             rng=np.random.default_rng([seed, i, 1]),
             epsilon=epsilon,
             learn=False,
-            render_seed=_episode_render_seed(seed, i),
+            render_seed=episode_render_seed(seed, i),
         )
         steps.append(result.steps)
         successes.append(result.success)

@@ -133,6 +133,10 @@ def _fmt(value) -> str:
 # Scene configuration files
 
 
+#: What converting a JSON value of the wrong type, shape or range raises.
+_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
+
+
 def _require(obj, key, what):
     if key not in obj:
         raise FormatError(f"{what} is missing required key {key!r}")
@@ -165,18 +169,25 @@ def load_scene_config(path) -> tuple[Scene, float]:
     for entry in speaker_docs:
         if not isinstance(entry, dict):
             raise FormatError("each speaker must be a JSON object")
-        source = SpeechSource(
-            seed=int(entry.get("seed", 0)),
-            modulation_band=tuple(entry.get("modulation_band", (0.5, 8.0))),
-        )
+        try:
+            sid = int(_require(entry, "id", "speaker"))
+            azimuth = float(_require(entry, "azimuth_deg", "speaker"))
+            elevation = float(_require(entry, "elevation_deg", "speaker"))
+            seed = int(entry.get("seed", 0))
+            low_hz, high_hz = entry.get("modulation_band", (0.5, 8.0))
+            band = (float(low_hz), float(high_hz))
+            gain = float(entry.get("mouth_gain", 1.0))
+            baseline = float(entry.get("mouth_baseline", 0.5))
+        except _CONVERSION_ERRORS as exc:
+            raise FormatError(f"bad speaker entry {entry!r}: {exc}") from None
         speakers.append(
             SpeakerSpec(
-                id=int(_require(entry, "id", "speaker")),
-                azimuth_world=float(_require(entry, "azimuth_deg", "speaker")),
-                elevation_world=float(_require(entry, "elevation_deg", "speaker")),
-                speech=source,
-                mouth_gain=float(entry.get("mouth_gain", 1.0)),
-                mouth_baseline=float(entry.get("mouth_baseline", 0.5)),
+                id=sid,
+                azimuth_world=azimuth,
+                elevation_world=elevation,
+                speech=SpeechSource(seed=seed, modulation_band=band),
+                mouth_gain=gain,
+                mouth_baseline=baseline,
             )
         )
 
@@ -193,9 +204,12 @@ def load_scene_config(path) -> tuple[Scene, float]:
                     "each schedule entry must be [start_s, end_s, speaker_id]"
                 )
             start, end, sid = seg
-            segments.append(
-                (float(start), float(end), None if sid is None else int(sid))
-            )
+            try:
+                segments.append(
+                    (float(start), float(end), None if sid is None else int(sid))
+                )
+            except _CONVERSION_ERRORS as exc:
+                raise FormatError(f"bad schedule entry {seg!r}: {exc}") from None
         segments = tuple(segments)
 
     noise = doc.get("noise_level", 0.01)
@@ -312,13 +326,6 @@ def synthetic_avsync_inputs(scene: Scene, duration: float, speaker_id: int, seed
     return env1, env2, mouth
 
 
-def active_speaker_at(schedule: TurnSchedule, t: float):
-    for start, end, sid in schedule.segments:
-        if start <= t < end:
-            return sid
-    return None
-
-
 def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
     """Per-window correlations for both speakers plus the active-speaker call."""
     if len(scene.speakers) != 2:
@@ -340,7 +347,7 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
             if res is not None and res.p < ALPHA and res.r > 0.0:
                 candidates.append((res.p, speaker.id))
         predicted = min(candidates)[1] if candidates else None
-        true = active_speaker_at(scene.schedule, (w + 0.5) * window_s)
+        true = scene.schedule.active_at((w + 0.5) * window_s)
         rows.append((w, r1, r2, predicted, true))
     return rows
 
@@ -348,9 +355,6 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
 def attention_map_rows(azimuths, duration: float, noise_level: float,
                        elevation: float, seed: int):
     """Estimate the source azimuth for one source placed at each direction."""
-    bank = frontend.make_gammatone_bank()
-    frame_n = int(round(frontend.FRAME_S * SAMPLE_RATE))
-    hop_n = int(round(frontend.HOP_S * SAMPLE_RATE))
     rows = []
     for azimuth in azimuths:
         speaker = SpeakerSpec(
@@ -365,19 +369,7 @@ def attention_map_rows(azimuths, duration: float, noise_level: float,
             noise_level=noise_level,
         )
         clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-        stream = frontend.GammatoneStream(bank, channels=2)
-        bands = stream.process(np.stack([clip.left, clip.right]))
-        posterior = frontend.uniform_posterior()
-        start = 0
-        while start + frame_n <= bands.shape[2]:
-            salience = frontend.beamform_salience(
-                bands[:, 0, start : start + frame_n],
-                bands[:, 1, start : start + frame_n],
-                frame_s=frontend.FRAME_S,
-                hop_s=frontend.FRAME_S,
-            )
-            posterior = frontend.update_posterior(posterior, salience[0])
-            start += hop_n
+        posterior = frontend.AzimuthTracker().feed(np.stack([clip.left, clip.right]))
         estimate = frontend.estimate_location(posterior)
         rows.append(
             (float(azimuth), float(estimate), abs(float(estimate) - float(azimuth)),

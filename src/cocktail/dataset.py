@@ -375,7 +375,7 @@ def build_dataset(qtable, num_episodes: int, seed: int = 0, config=None):
     """
     # Imported here: agent imports this module's buffer types, so importing
     # agent at module scope would create a cycle.
-    from .agent import AgentConfig, run_episode, sample_training_scene
+    from .agent import AgentConfig, episode_render_seed, run_episode, sample_training_scene
 
     if num_episodes <= 0:
         raise DomainError(f"num_episodes must be positive, got {num_episodes}")
@@ -395,7 +395,7 @@ def build_dataset(qtable, num_episodes: int, seed: int = 0, config=None):
             rng=np.random.default_rng([seed, i, 1]),
             epsilon=0.0,
             learn=False,
-            render_seed=(seed * 1_000_003 + i) % (2**31),
+            render_seed=episode_render_seed(seed, i),
         )
         if not result.success:
             continue

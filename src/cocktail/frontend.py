@@ -289,6 +289,11 @@ def beamform_salience(left_bands, right_bands, fs=SAMPLE_RATE, frame_s=FRAME_S, 
     # length of frame + 2k + 4 keeps every read free of circular aliasing
     # (the wrapped tail of the correlation stays beyond the read range).
     m = sfft.next_fast_len(frame + 2 * k + 4, real=True)
+    # Both channels share one transform buffer: rows 0..nb-1 hold L shifted
+    # right by k0, rows nb.. hold R.  Each frame overwrites only those
+    # spans, so the zero padding around them is laid down once per call.
+    k0 = k + 1
+    stacked = np.zeros((2 * nb, m))
     salience = np.zeros((len(starts), len(bank.bin_centers)))
     for fi, s0 in enumerate(starts):
         lf = left_bands[:, s0 : s0 + frame]
@@ -309,15 +314,16 @@ def beamform_salience(left_bands, right_bands, fs=SAMPLE_RATE, frame_s=FRAME_S, 
                 + (2 * wr * (1 - wr))[None, :] * sb_r[:, None])
 
         # Cross term via one batched FFT linear cross-correlation:
-        # cc[k0 + q] = sum_n L[n + q] R[n] for q in [-k0, k0 + 1].  Both
-        # channels share one transform: rows 0..nb-1 hold L shifted right by
-        # k0, rows nb.. hold R.
-        k0 = k + 1
-        stacked = np.zeros((2 * nb, frame + k0))
-        stacked[:nb, k0:] = lf
+        # cc[k0 + q] = sum_n L[n + q] R[n] for q in [-k0, k0 + 1].
+        stacked[:nb, k0 : k0 + frame] = lf
         stacked[nb:, :frame] = rf
-        spec = sfft.rfft(stacked, m, axis=1)
-        cc = sfft.irfft(spec[:nb] * np.conj(spec[nb:]), m, axis=1)[:, : 2 * k0 + 2]
+        spec = sfft.rfft(stacked, axis=1)
+        cross = spec[:nb] * np.conj(spec[nb:])
+        # Free each spectrum as soon as it is used, so a many-frame call
+        # needs one frame's scratch memory rather than two.
+        del spec
+        cc = sfft.irfft(cross, m, axis=1)[:, : 2 * k0 + 2]
+        del cross
         q = il - ir  # integer part of the total lag between the two shifts
         s_lr = ((1 - wl) * (1 - wr) * cc[:, k0 + q]
                 + (1 - wl) * wr * cc[:, k0 + q - 1]
@@ -400,3 +406,52 @@ def estimate_location(posterior):
     candidates = np.flatnonzero(probs == peak)
     best = min(candidates, key=lambda i: (abs(posterior.bin_centers[i]), i))
     return float(posterior.bin_centers[best])
+
+
+# ---------------------------------------------------------------------------
+# Streaming azimuth tracker
+# ---------------------------------------------------------------------------
+
+
+class AzimuthTracker:
+    """Listen to a stereo stream and keep the azimuth posterior up to date.
+
+    Each :meth:`feed` runs the chunk through a stereo :class:`GammatoneStream`,
+    beamforms every ``frame_s`` frame (at ``hop_s`` spacing) that the band
+    buffers now hold in one batched :func:`beamform_salience` call, and folds
+    the rows into the posterior in order.  Only the band samples the next
+    frame still needs are kept, so the buffers stay shorter than one frame.
+    Feeding a signal in any chunking gives the same posterior as one feed of
+    the whole signal.
+    """
+
+    def __init__(self, num_bands=NUM_BANDS, frame_s=FRAME_S, hop_s=HOP_S):
+        if not 0 < hop_s <= frame_s:
+            raise DomainError(f"need 0 < hop_s <= frame_s, got {hop_s}, {frame_s}")
+        self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands), channels=2)
+        self.frame_s = frame_s
+        self.hop_s = hop_s
+        self._frame = int(round(frame_s * SAMPLE_RATE))
+        self._hop = int(round(hop_s * SAMPLE_RATE))
+        self._left = np.zeros((num_bands, 0))
+        self._right = np.zeros((num_bands, 0))
+        self.posterior = uniform_posterior()
+
+    def feed(self, stereo):
+        """Analyze a ``(2, n)`` chunk; returns the updated posterior."""
+        bands = self.stream.process(stereo)
+        left = np.concatenate([self._left, bands[:, 0]], axis=1)
+        right = np.concatenate([self._right, bands[:, 1]], axis=1)
+        # Release the filter output before beamforming.  At full-fidelity
+        # sizes (32 bands, 0.5 s chunks) keeping it alive lifts each call's
+        # peak scratch memory enough that the allocator hands the heap back
+        # to the system, and every call then faults in fresh pages.
+        del bands
+        if left.shape[1] >= self._frame:
+            salience = beamform_salience(left, right, frame_s=self.frame_s, hop_s=self.hop_s)
+            for row in salience:
+                self.posterior = update_posterior(self.posterior, row)
+            left = left[:, len(salience) * self._hop :]
+            right = right[:, len(salience) * self._hop :]
+        self._left, self._right = left, right
+        return self.posterior

@@ -3,8 +3,8 @@
 The simulator renders what a two-microphone head would record from a set of
 seated speakers (interaural time difference via a Woodworth spherical head,
 a frequency-independent interaural level difference, and an elevation-dependent
-spectral notch), together with the visual side of the scene: a coarse face map
-over the field of view and a slow "mouth area" series per speaker.
+spectral notch), together with the visual side of the scene: face positions
+on a coarse camera grid and a slow "mouth area" series per speaker.
 
 All randomness is derived from explicit seeds through per-block seed sequences
 keyed on absolute sample indices, so rendering is bit-reproducible and
@@ -14,17 +14,14 @@ the same source waveforms as one 2 s call.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.io import wavfile
 from scipy.signal import iirnotch, lfilter
 
-from .errors import DomainError, InputError
+from .errors import DomainError
 
 SAMPLE_RATE = 48000
 HEAD_RADIUS_M = 0.0875
@@ -65,27 +62,20 @@ _STREAM_JITTER = 3
 class SpeechSource:
     """Seeded generative process for one speaker's speech waveform.
 
-    ``am-noise`` sources are white noise multiplied by a positive band-limited
+    The waveform is white noise multiplied by a positive band-limited
     modulator (a seeded sum of cosines in ``modulation_band``); the modulator
-    doubles as the ground-truth speech envelope. ``wav`` sources loop a mono
-    waveform file.
+    doubles as the ground-truth speech envelope.
     """
 
-    kind: str = "am-noise"
     seed: int = 0
     modulation_band: tuple[float, float] = (0.5, 8.0)
-    wav_path: str | None = None
 
     def __post_init__(self):
-        if self.kind not in ("am-noise", "wav"):
-            raise DomainError(f"unknown speech source kind: {self.kind!r}")
         lo, hi = self.modulation_band
         if not (0.5 <= lo < hi <= 16.0):
             raise DomainError(
                 f"modulation band {self.modulation_band} outside the (0.5, 16) Hz syllabic range"
             )
-        if self.kind == "wav" and not self.wav_path:
-            raise DomainError("wav speech source requires wav_path")
 
 
 @dataclass(frozen=True)
@@ -215,21 +205,6 @@ class BinauralClip:
         return len(self.left) / self.rate
 
 
-@dataclass(frozen=True)
-class VisualObservation:
-    """One glance through the camera: face map, face positions, mouth areas.
-
-    ``face_map`` is an ``(GRID_H, GRID_W)`` array over the +/-30 deg x +/-20 deg
-    field of view with a single 1.0 cell per visible face. ``mouth_area_by_face``
-    holds the noiseless instantaneous mouth area of each visible face (the
-    sampled measurement path with jitter is :func:`mouth_area_signal`).
-    """
-
-    face_map: np.ndarray
-    visible_faces: tuple[tuple[int, int, int], ...]
-    mouth_area_by_face: dict
-
-
 # ---------------------------------------------------------------------------
 # Seeded random streams (block-partitioned for streaming consistency)
 # ---------------------------------------------------------------------------
@@ -261,22 +236,6 @@ def _stream(key, n0, n1, draw):
     return chunk
 
 
-_WAV_CACHE = {}
-
-
-def _wav_samples(path):
-    if path not in _WAV_CACHE:
-        rate, data = wavfile.read(path)
-        if rate != SAMPLE_RATE:
-            raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-        data = np.asarray(data, dtype=np.float64)
-        if data.ndim > 1:
-            data = data.mean(axis=1)
-        peak = np.max(np.abs(data))
-        _WAV_CACHE[path] = data / peak if peak > 0 else data
-    return _WAV_CACHE[path]
-
-
 @lru_cache(maxsize=256)
 def _modulator_params(source):
     """Frequencies, amplitudes, and phases of the cosine-sum modulator."""
@@ -292,43 +251,28 @@ def _modulator_params(source):
 def source_envelope(source, times):
     """Ground-truth speech envelope of a source at the given times (seconds).
 
-    For ``am-noise`` sources this is the positive modulator itself, a value in
-    ``[0.05, 0.95]``; for ``wav`` sources it is the coarse magnitude envelope
-    of the file, looped.
+    This is the positive modulator itself, a value in ``[0.05, 0.95]``.
     """
 
     times = np.asarray(times, dtype=np.float64)
-    if source.kind == "am-noise":
-        freqs, amps, phases = _modulator_params(source)
-        ridge = np.sum(
-            amps[:, None] * np.cos(2.0 * np.pi * freqs[:, None] * times[None, :] + phases[:, None]),
-            axis=0,
-        )
-        return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
-    data = _wav_samples(source.wav_path)
-    block = SAMPLE_RATE // MOUTH_RATE_HZ
-    n_blocks = max(1, len(data) // block)
-    coarse = np.abs(data[: n_blocks * block]).reshape(n_blocks, block).mean(axis=1)
-    idx = (times * MOUTH_RATE_HZ).astype(int) % n_blocks
-    return coarse[idx]
+    freqs, amps, phases = _modulator_params(source)
+    ridge = np.sum(
+        amps[:, None] * np.cos(2.0 * np.pi * freqs[:, None] * times[None, :] + phases[:, None]),
+        axis=0,
+    )
+    return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
 
 
 def _source_samples(source, render_seed, speaker_id, n0, n1):
     """Raw speech waveform samples ``[n0, n1)`` for one speaker."""
-    if source.kind == "am-noise":
-        carrier = _stream(
-            (int(render_seed), _STREAM_CARRIER, int(speaker_id)),
-            n0,
-            n1,
-            lambda rng: rng.uniform(-1.0, 1.0, _BLOCK),
-        )
-        t = np.arange(n0, n1) / SAMPLE_RATE
-        return source_envelope(source, t) * carrier
-    data = _wav_samples(source.wav_path)
-    idx = np.arange(n0, n1)
-    out = data[idx % len(data)]
-    out[idx < 0] = 0.0
-    return out
+    carrier = _stream(
+        (int(render_seed), _STREAM_CARRIER, int(speaker_id)),
+        n0,
+        n1,
+        lambda rng: rng.uniform(-1.0, 1.0, _BLOCK),
+    )
+    t = np.arange(n0, n1) / SAMPLE_RATE
+    return source_envelope(source, t) * carrier
 
 
 # ---------------------------------------------------------------------------
@@ -455,29 +399,23 @@ def _grid_position(rel_az, rel_el):
     return int(gx), int(gy)
 
 
-def observe_visual(scene, pose, t):
-    """Project the scene's faces into the head's field of view at time ``t``.
+def observe_visual(scene, pose):
+    """Project the scene's faces into the head's field of view.
 
     A speaker is visible iff its pose-relative azimuth is within +/-30 deg and
-    its relative elevation within +/-20 deg; each visible face paints a single
-    1.0 cell at the linear mapping of its relative angles onto the 32x24 grid.
+    its relative elevation within +/-20 deg.  Returns one ``(speaker_id, gx,
+    gy)`` tuple per visible face, where ``(gx, gy)`` is the linear mapping of
+    its relative angles onto the 32x24 camera grid.
     """
 
-    face_map = np.zeros((GRID_H, GRID_W))
     visible = []
-    areas = {}
-    active = scene.schedule.active_at(t)
     for speaker in scene.speakers:
         rel_az = speaker.azimuth_world - pose.pan
         rel_el = speaker.elevation_world - pose.tilt
         if abs(rel_az) > FOV_AZIMUTH_DEG or abs(rel_el) > FOV_ELEVATION_DEG:
             continue
-        gx, gy = _grid_position(rel_az, rel_el)
-        face_map[gy, gx] = 1.0
-        visible.append((speaker.id, gx, gy))
-        env = float(source_envelope(speaker.speech, [t])[0]) if speaker.id == active else 0.0
-        areas[speaker.id] = speaker.mouth_baseline + speaker.mouth_gain * env
-    return VisualObservation(face_map, tuple(visible), areas)
+        visible.append((speaker.id, *_grid_position(rel_az, rel_el)))
+    return tuple(visible)
 
 
 def mouth_area_signal(speaker, schedule, t0, duration, rate=MOUTH_RATE_HZ, seed=0, jitter=True):
@@ -541,114 +479,3 @@ def step_head(pose, action):
     elif action == "down":
         tilt -= STEP_DEG
     return HeadPose(pan, tilt)
-
-
-# ---------------------------------------------------------------------------
-# Scene configuration and file I/O
-# ---------------------------------------------------------------------------
-
-
-def scene_from_dict(doc):
-    """Build a :class:`Scene` from a parsed JSON document.
-
-    Returns ``(scene, seed)`` where ``seed`` is the document's optional
-    ``"seed"`` entry (``None`` if absent).
-    """
-
-    try:
-        speakers = []
-        for spk in doc["speakers"]:
-            speech_doc = spk.get("speech", {})
-            speech = SpeechSource(
-                kind=speech_doc.get("kind", "am-noise"),
-                seed=int(speech_doc.get("seed", spk["id"])),
-                modulation_band=tuple(speech_doc.get("modulation_band", (0.5, 8.0))),
-                wav_path=speech_doc.get("wav_path"),
-            )
-            speakers.append(
-                SpeakerSpec(
-                    id=int(spk["id"]),
-                    azimuth_world=float(spk["azimuth_deg"]),
-                    elevation_world=float(spk.get("elevation_deg", 0.0)),
-                    speech=speech,
-                    mouth_gain=float(spk.get("mouth_gain", 1.0)),
-                    mouth_baseline=float(spk.get("mouth_baseline", 0.5)),
-                )
-            )
-        segments = tuple(
-            (float(s), float(e), (None if i is None else int(i)))
-            for s, e, i in doc["schedule"]
-        )
-        scene = Scene(
-            speakers=tuple(speakers),
-            schedule=TurnSchedule(segments),
-            noise_level=float(doc.get("noise_level", 0.0)),
-        )
-    except DomainError:
-        raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise InputError(f"bad scene document: {exc}") from exc
-    seed = doc.get("seed")
-    return scene, (None if seed is None else int(seed))
-
-
-def load_scene(path):
-    """Read a scene configuration JSON file; returns ``(scene, seed)``."""
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read scene config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path} is not valid JSON: {exc}") from exc
-    return scene_from_dict(doc)
-
-
-def write_wav(path, clip):
-    """Write a clip as 16-bit PCM stereo WAV at 48 kHz."""
-    stereo = np.stack([clip.left, clip.right], axis=1)
-    pcm = np.clip(stereo, -1.0, 1.0)
-    wavfile.write(path, SAMPLE_RATE, (pcm * 32767.0).astype(np.int16))
-
-
-def read_wav(path):
-    """Read a 16-bit PCM stereo WAV at 48 kHz into a :class:`BinauralClip`."""
-    try:
-        rate, data = wavfile.read(path)
-    except OSError as exc:
-        raise InputError(f"cannot read WAV {path}: {exc}") from exc
-    except ValueError as exc:
-        raise InputError(f"{path} is not a readable WAV file: {exc}") from exc
-    if rate != SAMPLE_RATE:
-        raise InputError(f"{path}: expected {SAMPLE_RATE} Hz, got {rate}")
-    if data.ndim != 2 or data.shape[1] != 2:
-        raise InputError(f"{path}: expected 2 channels")
-    scaled = data.astype(np.float64) / 32767.0
-    return BinauralClip(scaled[:, 0], scaled[:, 1], SAMPLE_RATE, 0.0)
-
-
-def write_mouth_csv(path, times, areas):
-    """Write a mouth-area series as CSV with header ``time_s,area``."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time_s", "area"])
-        for t, a in zip(times, areas):
-            writer.writerow([repr(float(t)), repr(float(a))])
-
-
-def read_mouth_csv(path):
-    """Read a ``time_s,area`` CSV; returns ``(times, areas)`` arrays."""
-    try:
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-    except OSError as exc:
-        raise InputError(f"cannot read mouth CSV {path}: {exc}") from exc
-    if not rows or rows[0] != ["time_s", "area"]:
-        raise InputError(f"{path}: expected header 'time_s,area'")
-    try:
-        data = np.array([[float(t), float(a)] for t, a in rows[1:]])
-    except ValueError as exc:
-        raise InputError(f"{path}: bad numeric row: {exc}") from exc
-    if len(data) == 0:
-        raise InputError(f"{path}: no data rows")
-    return data[:, 0], data[:, 1]

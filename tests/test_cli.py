@@ -319,6 +319,26 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("speaker, schedule", [
+        ({"azimuth_deg": "left"}, None),
+        ({"seed": "eleven"}, None),
+        ({"modulation_band": 4}, None),
+        ({}, [["soon", 1.0, 1]]),
+        ({"id": "one"}, None),
+    ], ids=["azimuth", "seed", "modulation_band", "schedule_start", "speaker_id"])
+    def test_mistyped_scene_field_exits_2(self, tmp_path, capsys, speaker, schedule):
+        doc = {"duration_s": 1.0,
+               "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0, **speaker}]}
+        if schedule is not None:
+            doc["schedule"] = schedule
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run_cli(
+            ["simulate", "--scene", str(path), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "error:" in err
+
 
 # ---------------------------------------------------------------------------
 # avsync

@@ -259,3 +259,55 @@ def test_gammatone_stream_rejects_empty_chunk():
     stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
     with pytest.raises(DomainError):
         stream.process(np.array([]))
+
+
+# ---------------------------------------------------------------------------
+# Streaming tracker
+
+
+def frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s):
+    """Reference: the per-frame loop the tracker replaces, one beamform call
+    per frame on a band buffer grown by concatenation.  Returns the posterior
+    after each chunk ``stereo[:, cuts[i]:cuts[i + 1]]``."""
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands), channels=2)
+    frame_n = int(round(frame_s * sc.SAMPLE_RATE))
+    hop_n = int(round(hop_s * sc.SAMPLE_RATE))
+    band_l = np.zeros((num_bands, 0))
+    band_r = np.zeros((num_bands, 0))
+    posterior = fe.uniform_posterior()
+    out = []
+    for a, b in zip(cuts[:-1], cuts[1:]):
+        bands = stream.process(stereo[:, a:b])
+        band_l = np.concatenate([band_l, bands[:, 0, :]], axis=1)
+        band_r = np.concatenate([band_r, bands[:, 1, :]], axis=1)
+        while band_l.shape[1] >= frame_n:
+            salience = fe.beamform_salience(
+                band_l[:, :frame_n], band_r[:, :frame_n], frame_s=frame_s, hop_s=frame_s
+            )
+            posterior = fe.update_posterior(posterior, salience[0])
+            band_l = band_l[:, hop_n:]
+            band_r = band_r[:, hop_n:]
+        out.append(posterior.probs)
+    return out
+
+
+@pytest.mark.parametrize("num_bands, frame_s, hop_s", [(8, 0.1, 0.1), (32, 0.2, 0.1)])
+@pytest.mark.parametrize("chunk_s", [0.07, 0.1, 0.33, 0.5, None])
+def test_tracker_matches_frame_loop_bit_for_bit(num_bands, frame_s, hop_s, chunk_s):
+    """Chunks shorter than a frame, chunks off the hop grid, and one
+    whole-signal feed (``None``) all give the reference posteriors exactly."""
+    clip = sc.render_binaural(speaker_scene(-25.0, noise=0.02), sc.HeadPose(0, 0), 0.0, 1.2, seed=4)
+    stereo = np.stack([clip.left, clip.right])
+    n = stereo.shape[1]
+    step = n if chunk_s is None else int(round(chunk_s * sc.SAMPLE_RATE))
+    cuts = list(range(0, n, step)) + [n]
+    expect = frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s)
+    tracker = fe.AzimuthTracker(num_bands, frame_s, hop_s)
+    for (a, b), ref in zip(zip(cuts[:-1], cuts[1:]), expect):
+        assert np.array_equal(tracker.feed(stereo[:, a:b]).probs, ref)
+    assert fe.estimate_location(tracker.posterior) == -25.0
+
+
+def test_tracker_rejects_hop_longer_than_frame():
+    with pytest.raises(DomainError):
+        fe.AzimuthTracker(8, frame_s=0.1, hop_s=0.2)
