@@ -27,11 +27,11 @@ def main():
     config = agent.AgentConfig(fast=True)
     print(f"training for {episodes} fast-mode episodes ...")
 
-    outcomes = []
-    qtable, _ = agent.train(
-        episodes, seed=11, config=config,
-        callback=lambda i, result: outcomes.append(result.success),
-    )
+    qtable = agent.new_qtable()
+    outcomes = [
+        result.success
+        for _, _, result in agent.run_episodes(qtable, episodes, 11, config, learn=True)
+    ]
 
     block = 100
     flags = np.asarray(outcomes, dtype=float)

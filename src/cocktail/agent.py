@@ -220,46 +220,35 @@ def q_update(
     next_state: int,
     terminal: bool,
     learning_rate: float = LEARNING_RATE,
-    discount: float = DISCOUNT,
 ) -> float:
     """One Q-learning backup; returns the updated entry.
 
-    ``Q[s, a] += lr * (r + discount * max_a' Q[s', a'] * [not terminal] - Q[s, a])``
+    ``Q[s, a] += lr * (r + 0.9 * max_a' Q[s', a'] * [not terminal] - Q[s, a])``
 
     The entry's visit count is incremented alongside the value update.
     """
     q = qtable.values
     target = reward_value
     if not terminal:
-        target += discount * float(np.max(q[next_state]))
+        target += DISCOUNT * float(np.max(q[next_state]))
     q[state, action] += learning_rate * (target - q[state, action])
     qtable.visit_counts[state, action] += 1
     return float(q[state, action])
 
 
-def epsilon_at(
-    episode: int,
-    total: int,
-    start: float = EPSILON_START,
-    final: float = EPSILON_FINAL,
-) -> float:
-    """Linear exploration anneal from ``start`` to ``final`` over training."""
+def epsilon_at(episode: int, total: int) -> float:
+    """Linear exploration anneal from 0.5 to 0.05 over training."""
     if total <= 1:
-        return final
+        return EPSILON_FINAL
     frac = min(1.0, max(0.0, episode / (total - 1)))
-    return start + (final - start) * frac
+    return EPSILON_START + (EPSILON_FINAL - EPSILON_START) * frac
 
 
-def is_fixated(
-    pose: HeadPose,
-    azimuth_world: float,
-    elevation_world: float,
-    tolerance: float = FIXATION_TOLERANCE_DEG,
-) -> bool:
+def is_fixated(pose: HeadPose, azimuth_world: float, elevation_world: float) -> bool:
     """Is the head pointing at the source? Both angles within tolerance."""
     return (
-        abs(azimuth_world - pose.pan) <= tolerance
-        and abs(elevation_world - pose.tilt) <= tolerance
+        abs(azimuth_world - pose.pan) <= FIXATION_TOLERANCE_DEG
+        and abs(elevation_world - pose.tilt) <= FIXATION_TOLERANCE_DEG
     )
 
 
@@ -403,7 +392,7 @@ def run_episode(
 # Scene sampling, training, evaluation
 
 
-def _sampled_scene(rng, offset_steps, duration, noise_level):
+def _sampled_scene(rng, offset_steps):
     init_pan = 5.0 * int(rng.integers(-4, 5))
     init_tilt = 5.0 * int(rng.integers(-2, 3))
     azimuth = float(np.clip(init_pan + 5.0 * offset_steps, -90.0, 90.0))
@@ -416,36 +405,28 @@ def _sampled_scene(rng, offset_steps, duration, noise_level):
     )
     scene = Scene(
         speakers=(speaker,),
-        schedule=TurnSchedule(((0.0, duration, 1),)),
-        noise_level=noise_level,
+        schedule=TurnSchedule(((0.0, SCENE_DURATION_S, 1),)),
+        noise_level=SCENE_NOISE_LEVEL,
     )
     return scene, HeadPose(init_pan, init_tilt)
 
 
-def sample_training_scene(
-    rng: np.random.Generator,
-    duration: float = SCENE_DURATION_S,
-    noise_level: float = SCENE_NOISE_LEVEL,
-):
+def sample_training_scene(rng: np.random.Generator):
     """A single-speaker scene on the 5-degree lattice around the start pose.
 
     Azimuth offsets span 0..60 degrees either side; elevation offsets stay
     within 15 degrees so the face is vertically inside the field of view
     whenever the pan is right.
     """
-    return _sampled_scene(rng, int(rng.integers(-12, 13)), duration, noise_level)
+    return _sampled_scene(rng, int(rng.integers(-12, 13)))
 
 
-def sample_eval_scene(
-    rng: np.random.Generator,
-    duration: float = SCENE_DURATION_S,
-    noise_level: float = SCENE_NOISE_LEVEL,
-):
+def sample_eval_scene(rng: np.random.Generator):
     """Like :func:`sample_training_scene` but offsets are at least 15 degrees,
     so an undirected random walk rarely stumbles into fixation."""
     magnitude = int(rng.integers(3, 13))
     sign = 1 if rng.random() < 0.5 else -1
-    return _sampled_scene(rng, sign * magnitude, duration, noise_level)
+    return _sampled_scene(rng, sign * magnitude)
 
 
 @dataclass(frozen=True)
@@ -463,44 +444,54 @@ class EvalStats:
     steps: tuple
 
 
-def episode_render_seed(seed: int, index: int) -> int:
-    """Render seed of episode ``index`` in a run seeded with ``seed``."""
-    return (seed * 1_000_003 + index) % (2**31)
-
-
-def train(
+def run_episodes(
+    qtable: QTable,
     num_episodes: int,
-    seed: int = 0,
-    config: AgentConfig | None = None,
-    callback=None,
-) -> tuple[QTable, TrainStats]:
-    """Train a fresh Q table on sampled scenes with annealed exploration."""
+    seed: int,
+    config: AgentConfig | None,
+    *,
+    learn: bool = False,
+    epsilon: float = 0.0,
+    sampler=sample_training_scene,
+):
+    """Run seeded episodes ``0 .. num_episodes - 1``; yield ``(i, scene, result)``.
+
+    Episode ``i`` draws its scene from ``sampler(default_rng([seed, i, 0]))``,
+    explores with ``default_rng([seed, i, 1])`` and renders with seed
+    ``(seed * 1_000_003 + i) % 2**31``, so every episode is reproducible on
+    its own.  While learning, exploration anneals by :func:`epsilon_at`;
+    otherwise it stays at ``epsilon``.
+    """
     if num_episodes <= 0:
         raise DomainError(f"num_episodes must be positive, got {num_episodes}")
-    if config is None:
-        config = AgentConfig()
-    qtable = new_qtable()
-    outcomes = []
     for i in range(num_episodes):
-        scene, pose0 = sample_training_scene(np.random.default_rng([seed, i, 0]))
+        scene, pose0 = sampler(np.random.default_rng([seed, i, 0]))
         result = run_episode(
             scene,
             pose0,
             qtable,
             config=config,
             rng=np.random.default_rng([seed, i, 1]),
-            epsilon=epsilon_at(i, num_episodes),
-            learn=True,
-            render_seed=episode_render_seed(seed, i),
+            epsilon=epsilon_at(i, num_episodes) if learn else epsilon,
+            learn=learn,
+            render_seed=(seed * 1_000_003 + i) % (2**31),
         )
-        outcomes.append(result.success)
-        if callback is not None:
-            callback(i, result)
-    tail = outcomes[-100:]
+        yield i, scene, result
+
+
+def train(
+    num_episodes: int, seed: int = 0, config: AgentConfig | None = None
+) -> tuple[QTable, TrainStats]:
+    """Train a fresh Q table on sampled scenes with annealed exploration."""
+    qtable = new_qtable()
+    outcomes = [
+        result.success
+        for _, _, result in run_episodes(qtable, num_episodes, seed, config, learn=True)
+    ]
     stats = TrainStats(
         episodes=num_episodes,
         successes=int(np.sum(outcomes)),
-        final_success_rate=float(np.mean(tail)) if tail else 0.0,
+        final_success_rate=float(np.mean(outcomes[-100:])),
     )
     return qtable, stats
 
@@ -511,7 +502,6 @@ def evaluate(
     seed: int = 0,
     config: AgentConfig | None = None,
     policy: str = "greedy",
-    sampler=sample_eval_scene,
 ) -> EvalStats:
     """Evaluate a policy on a seeded scene set (no learning).
 
@@ -521,25 +511,12 @@ def evaluate(
     """
     if policy not in ("greedy", "random"):
         raise DomainError(f"policy must be 'greedy' or 'random', got {policy!r}")
-    if num_episodes <= 0:
-        raise DomainError(f"num_episodes must be positive, got {num_episodes}")
-    if config is None:
-        config = AgentConfig()
     epsilon = 0.0 if policy == "greedy" else 1.0
     steps = []
     successes = []
-    for i in range(num_episodes):
-        scene, pose0 = sampler(np.random.default_rng([seed, i, 0]))
-        result = run_episode(
-            scene,
-            pose0,
-            qtable,
-            config=config,
-            rng=np.random.default_rng([seed, i, 1]),
-            epsilon=epsilon,
-            learn=False,
-            render_seed=episode_render_seed(seed, i),
-        )
+    for _, _, result in run_episodes(
+        qtable, num_episodes, seed, config, epsilon=epsilon, sampler=sample_eval_scene
+    ):
         steps.append(result.steps)
         successes.append(result.success)
     return EvalStats(

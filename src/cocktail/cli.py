@@ -143,14 +143,22 @@ def _require(obj, key, what):
     return obj[key]
 
 
+def _reject_constant(name):
+    raise FormatError(f"scene config may not contain {name}")
+
+
 def load_scene_config(path) -> tuple[Scene, float]:
-    """Parse a scene JSON document into a :class:`Scene` plus its duration."""
+    """Parse a scene JSON document into a :class:`Scene` plus its duration.
+
+    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's JSON reader
+    would otherwise accept, raise :class:`FormatError` wherever they appear.
+    """
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InputError(f"no such scene file: {path}") from None
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
     if not isinstance(doc, dict):
@@ -227,14 +235,14 @@ def load_scene_config(path) -> tuple[Scene, float]:
 # WAV and mouth-CSV files
 
 
-def write_wav(path, left, right, rate: int = SAMPLE_RATE) -> None:
-    """Write a stereo 16-bit PCM WAV; samples are clipped to [-1, 1]."""
+def write_wav(path, left, right) -> None:
+    """Write a stereo 16-bit PCM WAV at 48 kHz; samples are clipped to [-1, 1]."""
     pcm = np.clip(np.stack([left, right], axis=1), -1.0, 1.0)
     data = np.round(pcm * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(2)
         fh.setsampwidth(2)
-        fh.setframerate(rate)
+        fh.setframerate(SAMPLE_RATE)
         fh.writeframes(data.tobytes())
 
 
@@ -265,6 +273,7 @@ def write_mouth_csv(path, times, areas) -> None:
 
 
 def read_mouth_csv(path) -> np.ndarray:
+    """Read the areas of a mouth-area CSV whose times step by 0.1 s."""
     try:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
@@ -273,10 +282,22 @@ def read_mouth_csv(path) -> np.ndarray:
     if not lines or lines[0].strip() != "time_s,area":
         raise FormatError(f"{path}: expected header 'time_s,area'")
     areas = []
+    prev = None
     for n, line in enumerate(lines[1:], start=2):
         parts = line.split(",")
         if len(parts) != 2:
             raise ParseError("expected two comma-separated fields", line=n)
+        try:
+            t = float(parts[0])
+        except ValueError:
+            raise ParseError(f"bad time value {parts[0]!r}", line=n) from None
+        if not np.isfinite(t):
+            raise ParseError(f"time {parts[0]!r} is not finite", line=n)
+        if prev is not None and abs(t - prev - 1.0 / MOUTH_RATE_HZ) > 1e-6:
+            raise ParseError(
+                f"time {t} is not {1.0 / MOUTH_RATE_HZ} s after {prev}", line=n
+            )
+        prev = t
         try:
             areas.append(float(parts[1]))
         except ValueError:

@@ -131,17 +131,7 @@ class EvidenceCapture:
 class EvidenceBuffer:
     """Collects evidence snapshots according to the confidence/debounce rule."""
 
-    def __init__(
-        self,
-        threshold: float = CAPTURE_THRESHOLD,
-        debounce_s: float = CAPTURE_DEBOUNCE_S,
-    ):
-        if not 0.0 < threshold <= 1.0:
-            raise DomainError(f"capture threshold must be in (0, 1], got {threshold}")
-        if debounce_s < 0.0:
-            raise DomainError(f"debounce must be >= 0, got {debounce_s}")
-        self.threshold = threshold
-        self.debounce_s = debounce_s
+    def __init__(self):
         self.captures: list[EvidenceCapture] = []
         self._last_t: float | None = None
 
@@ -155,9 +145,9 @@ class EvidenceBuffer:
         if not ring.full:
             return None
         peak = float(np.max(posterior.probs))
-        if peak < self.threshold:
+        if peak < CAPTURE_THRESHOLD:
             return None
-        if self._last_t is not None and t_s - self._last_t < self.debounce_s:
+        if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
             return None
         left, right = ring.snapshot()
         capture = EvidenceCapture(
@@ -171,10 +161,6 @@ class EvidenceBuffer:
         self.captures.append(capture)
         self._last_t = float(t_s)
         return capture
-
-    def clear(self) -> None:
-        self.captures.clear()
-        self._last_t = None
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,20 +198,14 @@ class LabeledRecord:
 
 
 def label_on_fixation(
-    captures, final_pose: HeadPose, success: bool, episode_id: int
+    captures, final_pose: HeadPose, episode_id: int
 ) -> list[LabeledRecord]:
-    """Turn an episode's captures into labeled records, proprioceptively.
+    """Turn a successful episode's captures into labeled records, proprioceptively.
 
-    Only a successful fixation licenses labeling (the final pose then points
-    at the source to within the fixation tolerance); calling this for a
-    failed episode is a caller bug and raises
-    :class:`ContractViolationError`.  Each capture's label is the final pose
-    expressed relative to the capture pose.
+    Only a successful fixation licenses labeling: the final pose then points
+    at the source to within the fixation tolerance.  Each capture's label is
+    the final pose expressed relative to the capture pose.
     """
-    if not success:
-        raise ContractViolationError(
-            "labels require a successful fixation episode"
-        )
     records = []
     for cap in captures:
         records.append(
@@ -365,7 +345,7 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
 
 
 def build_dataset(qtable, num_episodes: int, seed: int = 0, config=None):
-    """Run fixation episodes under a (trained) policy and harvest records.
+    """Run greedy fixation episodes under a (trained) policy and harvest records.
 
     Episodes come from the agent's training-scene distribution; failed
     episodes contribute nothing.  Returns ``(records, stats)`` where the
@@ -375,32 +355,17 @@ def build_dataset(qtable, num_episodes: int, seed: int = 0, config=None):
     """
     # Imported here: agent imports this module's buffer types, so importing
     # agent at module scope would create a cycle.
-    from .agent import AgentConfig, episode_render_seed, run_episode, sample_training_scene
+    from .agent import run_episodes
 
-    if num_episodes <= 0:
-        raise DomainError(f"num_episodes must be positive, got {num_episodes}")
-    if config is None:
-        config = AgentConfig()
     records: list[LabeledRecord] = []
     successes = 0
     max_az_err = 0.0
     max_el_err = 0.0
-    for i in range(num_episodes):
-        scene, pose0 = sample_training_scene(np.random.default_rng([seed, i, 0]))
-        result = run_episode(
-            scene,
-            pose0,
-            qtable,
-            config=config,
-            rng=np.random.default_rng([seed, i, 1]),
-            epsilon=0.0,
-            learn=False,
-            render_seed=episode_render_seed(seed, i),
-        )
+    for i, scene, result in run_episodes(qtable, num_episodes, seed, config):
         if not result.success:
             continue
         successes += 1
-        new = label_on_fixation(result.captures, result.final_pose, True, i)
+        new = label_on_fixation(result.captures, result.final_pose, i)
         speaker = scene.speakers[0]
         for cap, rec in zip(result.captures, new):
             truth_az = speaker.azimuth_world - cap.pan_deg

@@ -23,7 +23,6 @@ import scipy.fft as sfft
 
 from .errors import DomainError
 from .frontend import NUM_BANDS, band_weights
-from .scene import SAMPLE_RATE
 
 #: Maximum cross-correlation lag in samples (covers the physical ITD range).
 MAX_LAG_SAMPLES = 48
@@ -87,9 +86,7 @@ def gcc_features(
     return cc / np.sqrt(energy)
 
 
-def ild_features(
-    left: np.ndarray, right: np.ndarray, num_bands: int = NUM_BANDS
-) -> np.ndarray:
+def ild_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     """Per-band interaural level differences in dB (left minus right).
 
     Band powers are computed spectrally: the rfft power spectrum of each
@@ -106,7 +103,7 @@ def ild_features(
         raise DomainError(f"need at least 2 samples, got {l.size}")
     pl = np.abs(np.fft.rfft(l)) ** 2
     pr = np.abs(np.fft.rfft(r)) ** 2
-    weights = band_weights(pl.size, fs=SAMPLE_RATE, num_bands=num_bands)
+    weights = band_weights(pl.size)
     band_l = weights @ pl + _ILD_EPS
     band_r = weights @ pr + _ILD_EPS
     return 10.0 * (np.log10(band_l) - np.log10(band_r))

@@ -37,7 +37,7 @@ try:
     # overhead dominates; results are bit-identical either way (the public
     # route below remains as a fallback and correctness reference).
     from scipy.signal._sosfilt import _sosfilt as _sosfilt_kernel
-except ImportError:  # pragma: no cover - exercised only on older SciPy
+except ImportError:
     _sosfilt_kernel = None
 
 from .errors import DomainError
@@ -71,7 +71,7 @@ def erb_space(low, high, n):
     return cf[::-1].copy()
 
 
-def _slaney_sos(fs, cf):
+def _slaney_sos(cf):
     """Second-order sections for Slaney's all-pole gammatone, one filter per cf.
 
     Each filter is four cascaded two-pole sections sharing the same poles but
@@ -80,7 +80,7 @@ def _slaney_sos(fs, cf):
     """
 
     cf = np.asarray(cf, dtype=np.float64)
-    T = 1.0 / fs
+    T = 1.0 / SAMPLE_RATE
     erb = cf / _EAR_Q + _MIN_BW
     B = 1.019 * 2.0 * np.pi * erb
 
@@ -120,9 +120,8 @@ def _slaney_sos(fs, cf):
 
 @dataclass(frozen=True)
 class GammatoneBank:
-    """An ERB-spaced bank of fourth-order gammatone filters."""
+    """An ERB-spaced bank of fourth-order gammatone filters at 48 kHz."""
 
-    fs: int
     center_freqs: np.ndarray
     sos: np.ndarray
 
@@ -132,12 +131,10 @@ class GammatoneBank:
 
 
 @lru_cache(maxsize=8)
-def make_gammatone_bank(fs=SAMPLE_RATE, num_bands=NUM_BANDS, f_lo=FREQ_LO_HZ, f_hi=FREQ_HI_HZ):
-    """Design (and cache) a gammatone bank over ``[f_lo, f_hi]``."""
-    if f_hi >= fs / 2:
-        raise DomainError("upper band edge must stay below Nyquist")
-    cf = erb_space(f_lo, f_hi, num_bands)
-    return GammatoneBank(fs=fs, center_freqs=cf, sos=_slaney_sos(fs, cf))
+def make_gammatone_bank(num_bands=NUM_BANDS):
+    """Design (and cache) a gammatone bank over 100 Hz .. 8 kHz."""
+    cf = erb_space(FREQ_LO_HZ, FREQ_HI_HZ, num_bands)
+    return GammatoneBank(center_freqs=cf, sos=_slaney_sos(cf))
 
 
 def gammatone_analyze(x, bank=None):
@@ -209,18 +206,19 @@ class GammatoneStream:
 
 
 @lru_cache(maxsize=32)
-def band_weights(n_rfft, fs=SAMPLE_RATE, num_bands=NUM_BANDS):
-    """``|H_b(f)|^2`` of each gammatone filter on an ``n_rfft``-point rfft grid.
+def band_weights(n_rfft):
+    """``|H_b(f)|^2`` of each 32-band gammatone filter on an ``n_rfft``-point
+    rfft grid.
 
     Used to evaluate band energies spectrally (Parseval) without running the
     filters, e.g. for interaural level difference features.
     """
 
-    bank = make_gammatone_bank(fs=fs, num_bands=num_bands)
-    freqs = np.linspace(0.0, fs / 2.0, n_rfft)
+    bank = make_gammatone_bank()
+    freqs = np.linspace(0.0, SAMPLE_RATE / 2.0, n_rfft)
     weights = np.empty((bank.num_bands, n_rfft))
     for b in range(bank.num_bands):
-        _, h = sosfreqz(bank.sos[b], worN=freqs, fs=fs)
+        _, h = sosfreqz(bank.sos[b], worN=freqs, fs=SAMPLE_RATE)
         weights[b] = np.abs(h) ** 2
     return weights
 
@@ -239,25 +237,22 @@ class BeamformerBank:
     """
 
     bin_centers: np.ndarray
-    itds: np.ndarray
     lags: np.ndarray
     max_lag: int
 
 
-@lru_cache(maxsize=4)
-def make_beamformer_bank(fs=SAMPLE_RATE):
+@lru_cache(maxsize=1)
+def make_beamformer_bank():
     centers = np.array(AZIMUTH_BINS, dtype=np.float64)
-    itds = np.array([itd_for_azimuth(a) for a in centers])
-    lags = itds * fs
+    lags = np.array([itd_for_azimuth(a) for a in centers]) * SAMPLE_RATE
     return BeamformerBank(
         bin_centers=centers,
-        itds=itds,
         lags=lags,
         max_lag=int(np.ceil(np.max(np.abs(lags)))) + 2,
     )
 
 
-def beamform_salience(left_bands, right_bands, fs=SAMPLE_RATE, frame_s=FRAME_S, hop_s=HOP_S):
+def beamform_salience(left_bands, right_bands, frame_s=FRAME_S, hop_s=HOP_S):
     """Per-frame azimuth salience from delay-and-sum beamformer energies.
 
     For every frame and azimuth bin, the left bands are delayed by the bin's
@@ -272,12 +267,12 @@ def beamform_salience(left_bands, right_bands, fs=SAMPLE_RATE, frame_s=FRAME_S, 
     if left_bands.shape != right_bands.shape:
         raise DomainError("left/right band sets must have equal shapes")
     nb, n = left_bands.shape
-    frame = int(round(frame_s * fs))
-    hop = int(round(hop_s * fs))
+    frame = int(round(frame_s * SAMPLE_RATE))
+    hop = int(round(hop_s * SAMPLE_RATE))
     if frame > n:
         raise DomainError("frame longer than signal")
 
-    bank = make_beamformer_bank(fs)
+    bank = make_beamformer_bank()
     k = bank.max_lag
     # Steering: left sampled at n + lag/2, right at n - lag/2.
     dl, dr = bank.lags / 2.0, -bank.lags / 2.0
@@ -358,11 +353,6 @@ class AzimuthPosterior:
             raise DomainError("probs and bin_centers must align")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise DomainError("posterior must be a normalized probability vector")
-
-    @property
-    def entropy(self):
-        p = self.probs[self.probs > 0]
-        return float(-np.sum(p * np.log(p)))
 
 
 def uniform_posterior():

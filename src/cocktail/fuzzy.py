@@ -4,8 +4,8 @@ The azimuth range is covered by five overlapping membership functions —
 ``far_left``, ``left``, ``center``, ``right``, ``far_right`` — triangles of
 half-width 30 degrees centered at -60, -30, 0, +30 and +60, with the two
 outer terms saturating to 1 beyond +/-60 (shoulders). The crisp location is
-the maximum-membership term, and feeds the head controller as a one-hot
-vector.
+the maximum-membership term; the head controller encodes it by its index in
+``TERMS`` (:func:`term_index`).
 """
 
 from __future__ import annotations
@@ -53,23 +53,8 @@ def classify(azimuth):
     return TERMS[best]
 
 
-def to_one_hot(term):
-    """One-hot vector of length 5 in ``TERMS`` order."""
-    if term not in TERMS:
-        raise DomainError(f"unknown linguistic term {term!r}")
-    v = np.zeros(len(TERMS), dtype=np.int64)
-    v[TERMS.index(term)] = 1
-    return v
-
-
 def term_index(term):
     """Index of a term in the fixed ``TERMS`` order."""
     if term not in TERMS:
         raise DomainError(f"unknown linguistic term {term!r}")
     return TERMS.index(term)
-
-
-def partition_table(step=1.0):
-    """Sampled membership table for plotting: rows ``azimuth, mu_0..mu_4``."""
-    azimuths = np.arange(-90.0, 90.0 + step / 2, step)
-    return np.column_stack([azimuths] + [np.array([memberships(a)[i] for a in azimuths]) for i in range(5)])

@@ -73,18 +73,6 @@ def elevation_class(angle_deg: float) -> int:
     return _quantize(angle_deg, EL_MIN_DEG, EL_NUM_CLASSES, "elevation")
 
 
-def class_azimuth(index: int) -> float:
-    if not 0 <= index < AZ_NUM_CLASSES:
-        raise DomainError(f"azimuth class {index} outside 0..{AZ_NUM_CLASSES - 1}")
-    return AZ_MIN_DEG + CLASS_STEP_DEG * index
-
-
-def class_elevation(index: int) -> float:
-    if not 0 <= index < EL_NUM_CLASSES:
-        raise DomainError(f"elevation class {index} outside 0..{EL_NUM_CLASSES - 1}")
-    return EL_MIN_DEG + CLASS_STEP_DEG * index
-
-
 # ---------------------------------------------------------------------------
 # Model
 

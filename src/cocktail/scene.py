@@ -46,6 +46,7 @@ NOTCH_Q = 3.0
 ACTIONS = ("none", "left", "up", "down", "right")
 
 _BLOCK = 4800  # seeding granularity for random streams (0.1 s at 48 kHz)
+_JITTER_BLOCK = 10  # seeding granularity of the mouth jitter (1 s at 10 Hz)
 _DELAY_MARGIN = 64  # samples of context kept around a render window for delays
 _FILTER_MARGIN = 256  # warm-up samples discarded ahead of the notch filter
 _STREAM_CARRIER = 1
@@ -125,10 +126,6 @@ class TurnSchedule:
                 raise DomainError("schedule segments must be contiguous and sorted")
             prev_end = end
 
-    @property
-    def duration(self):
-        return self.segments[-1][1] - self.segments[0][0]
-
     def active_at(self, t):
         """Speaker id active at time ``t``, or ``None`` during silence."""
         for start, end, sid in self.segments:
@@ -178,31 +175,20 @@ class HeadPose:
 
 @dataclass(frozen=True)
 class BinauralClip:
-    """Two-channel sample buffer at 48 kHz starting at ``start_time`` seconds."""
+    """Two-channel sample buffer at 48 kHz."""
 
     left: np.ndarray
     right: np.ndarray
-    rate: int = SAMPLE_RATE
-    start_time: float = 0.0
 
     def __post_init__(self):
         left = np.asarray(self.left, dtype=np.float64)
         right = np.asarray(self.right, dtype=np.float64)
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
-        if self.rate != SAMPLE_RATE:
-            raise DomainError(f"clip rate must be {SAMPLE_RATE}, got {self.rate}")
         if left.shape != right.shape or left.ndim != 1:
             raise DomainError("left/right must be 1-D arrays of equal length")
         if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
             raise DomainError("clip contains non-finite samples")
-
-    def __len__(self):
-        return len(self.left)
-
-    @property
-    def duration(self):
-        return len(self.left) / self.rate
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +196,11 @@ class BinauralClip:
 # ---------------------------------------------------------------------------
 
 
-def _stream(key, n0, n1, draw):
+def _stream(key, n0, n1, draw, block=_BLOCK):
     """Samples ``[n0, n1)`` of an absolute-indexed random stream.
 
-    ``draw(rng)`` produces one block of ``_BLOCK`` samples (last axis). Blocks
-    are seeded independently with ``SeedSequence(key + (block,))`` so any
+    ``draw(rng)`` produces one block of ``block`` samples (last axis). Block
+    ``b`` is seeded independently with ``SeedSequence(key + (b,))`` so any
     window of the stream can be reproduced without generating its prefix.
     Negative indices (before the start of time) yield zeros.
     """
@@ -225,12 +211,12 @@ def _stream(key, n0, n1, draw):
     if n1 <= n0:
         probe = draw(np.random.default_rng(0))
         return np.zeros(probe.shape[:-1] + (total,))
-    b0, b1 = n0 // _BLOCK, -(-n1 // _BLOCK)
+    b0, b1 = n0 // block, -(-n1 // block)
     parts = [
         draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
         for b in range(b0, b1)
     ]
-    chunk = np.concatenate(parts, axis=-1)[..., n0 - b0 * _BLOCK : n1 - b0 * _BLOCK]
+    chunk = np.concatenate(parts, axis=-1)[..., n0 - b0 * block : n1 - b0 * block]
     if pad0:
         chunk = np.concatenate([np.zeros(chunk.shape[:-1] + (pad0,)), chunk], axis=-1)
     return chunk
@@ -385,7 +371,7 @@ def render_binaural(scene, pose, t0, duration, seed):
             n0 + n,
             lambda rng: rng.normal(0.0, 1.0, (2, _BLOCK)),
         )
-    return BinauralClip(out[0], out[1], SAMPLE_RATE, t0)
+    return BinauralClip(out[0], out[1])
 
 
 # ---------------------------------------------------------------------------
@@ -418,23 +404,21 @@ def observe_visual(scene, pose):
     return tuple(visible)
 
 
-def mouth_area_signal(speaker, schedule, t0, duration, rate=MOUTH_RATE_HZ, seed=0, jitter=True):
-    """Sampled mouth-area measurement for one speaker at ``rate`` Hz.
+def mouth_area_signal(speaker, schedule, t0, duration, seed=0, jitter=True):
+    """Sampled mouth-area measurement for one speaker at 10 Hz.
 
     While the speaker is active the area follows
     ``baseline + gain * envelope(t)``; while silent it sits at the baseline.
     Seeded zero-mean jitter with standard deviation ``0.05 * gain`` models
     measurement noise. Samples are taken at block centers
-    ``t0 + (k + 0.5) / rate`` so they align with block-mean resampled audio
+    ``t0 + (k + 0.5) / 10`` so they align with block-mean resampled audio
     envelopes.
     """
 
     if duration <= 0:
         raise DomainError("duration must be > 0")
-    if rate != MOUTH_RATE_HZ:
-        raise DomainError(f"mouth rate is fixed at {MOUTH_RATE_HZ} Hz")
-    n = int(round(duration * rate))
-    times = t0 + (np.arange(n) + 0.5) / rate
+    n = int(round(duration * MOUTH_RATE_HZ))
+    times = t0 + (np.arange(n) + 0.5) / MOUTH_RATE_HZ
     env = source_envelope(speaker.speech, times)
     active = np.zeros(n, dtype=bool)
     for start, end, sid in schedule.segments:
@@ -444,25 +428,16 @@ def mouth_area_signal(speaker, schedule, t0, duration, rate=MOUTH_RATE_HZ, seed=
     if jitter:
         # Jitter uses its own 10-sample blocks at the mouth rate so that
         # per-step calls reproduce the same stream as one long call.
-        k0 = int(round(t0 * rate))
-        noise = _mouth_jitter(seed, speaker.id, k0, k0 + n)
+        k0 = int(round(t0 * MOUTH_RATE_HZ))
+        noise = _stream(
+            (int(seed), _STREAM_JITTER, int(speaker.id)),
+            k0,
+            k0 + n,
+            lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK),
+            block=_JITTER_BLOCK,
+        )
         areas = areas + 0.05 * speaker.mouth_gain * noise
     return times, areas
-
-
-_JITTER_BLOCK = 10
-
-
-def _mouth_jitter(seed, speaker_id, k0, k1):
-    """Absolute-indexed unit-normal jitter stream at the mouth rate."""
-    b0, b1 = k0 // _JITTER_BLOCK, -(-k1 // _JITTER_BLOCK)
-    parts = [
-        np.random.default_rng(
-            np.random.SeedSequence((int(seed), _STREAM_JITTER, int(speaker_id), b))
-        ).normal(0.0, 1.0, _JITTER_BLOCK)
-        for b in range(b0, b1)
-    ]
-    return np.concatenate(parts)[k0 - b0 * _JITTER_BLOCK : k1 - b0 * _JITTER_BLOCK]
 
 
 def step_head(pose, action):

@@ -7,6 +7,7 @@ from cocktail import agent as ag
 from cocktail.agent import (
     ACTIONS,
     AgentConfig,
+    EpisodeResult,
     N_ACTIONS,
     N_STATES,
     QTable,
@@ -20,6 +21,7 @@ from cocktail.agent import (
     pan_bucket,
     q_update,
     run_episode,
+    run_episodes,
     sample_eval_scene,
     sample_training_scene,
     save_qtable,
@@ -439,6 +441,45 @@ def test_train_is_deterministic_and_counts_successes():
     assert stats1 == stats2
     assert stats1.episodes == 3
     assert 0 <= stats1.successes <= 3
+
+
+def test_run_episodes_seeds_each_episode_from_seed_and_index():
+    qt = new_qtable()
+    got = list(run_episodes(qt, 2, 7, FAST, epsilon=1.0, sampler=sample_eval_scene))
+    assert [i for i, _, _ in got] == [0, 1]
+    for i, scene, result in got:
+        ref_scene, pose = sample_eval_scene(np.random.default_rng([7, i, 0]))
+        ref = run_episode(
+            ref_scene, pose, qt, config=FAST, rng=np.random.default_rng([7, i, 1]),
+            epsilon=1.0, render_seed=7 * 1_000_003 + i,
+        )
+        assert scene == ref_scene
+        assert result.trajectory == ref.trajectory
+
+
+def test_every_loop_reaches_run_episode_through_the_agent_module(monkeypatch):
+    """Replacing ``agent.run_episode`` sees each episode of train, evaluate
+    and build_dataset, with the episode's exploration and render seed."""
+    from cocktail.dataset import build_dataset
+
+    calls = []
+
+    def fake(scene, init_pose, qtable, **kwargs):
+        calls.append(kwargs)
+        return EpisodeResult(False, 1, 0.0, init_pose, (), ((0, "none", 0.0, 0),))
+
+    monkeypatch.setattr(ag, "run_episode", fake)
+    train(3, seed=4, config=FAST)
+    evaluate(new_qtable(), 2, seed=5, config=FAST, policy="random")
+    build_dataset(new_qtable(), 2, seed=6, config=FAST)
+    assert [c["learn"] for c in calls] == [True] * 3 + [False] * 4
+    assert [c["epsilon"] for c in calls] == [
+        epsilon_at(0, 3), epsilon_at(1, 3), epsilon_at(2, 3), 1.0, 1.0, 0.0, 0.0
+    ]
+    assert [c["render_seed"] for c in calls] == [
+        s * 1_000_003 + i for s, i in ((4, 0), (4, 1), (4, 2), (5, 0), (5, 1), (6, 0), (6, 1))
+    ]
+    assert all(c["config"] is FAST for c in calls)
 
 
 def test_train_rejects_bad_episode_count():

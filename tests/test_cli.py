@@ -278,6 +278,27 @@ class TestMouthCsv:
         with pytest.raises(FormatError):
             cli.read_mouth_csv(path)
 
+    @pytest.mark.parametrize("times, line", [
+        (["0.05", "0.15", "0.35"], 4),
+        (["0.0", "0.1", "0.1"], 4),
+        (["0.2", "0.1"], 3),
+        (["0.0", "0.1000011"], 3),
+        (["0.0", "nan"], 3),
+        (["inf", "0.1"], 2),
+        (["soon", "0.1"], 2),
+    ])
+    def test_times_off_the_10hz_grid_report_line(self, tmp_path, times, line):
+        path = tmp_path / "mouth.csv"
+        path.write_text("time_s,area\n" + "".join(f"{t},0.5\n" for t in times))
+        with pytest.raises(ParseError) as info:
+            cli.read_mouth_csv(path)
+        assert info.value.line == line
+
+    def test_times_within_tolerance_are_accepted(self, tmp_path):
+        path = tmp_path / "mouth.csv"
+        path.write_text("time_s,area\n1000.05,0.5\n1000.1500009,0.25\n")
+        np.testing.assert_array_equal(cli.read_mouth_csv(path), [0.5, 0.25])
+
 
 # ---------------------------------------------------------------------------
 # simulate
@@ -309,6 +330,42 @@ class TestSimulate:
             {"id": 1, "azimuth_deg": 20.0, "elevation_deg": 0.0}
         ]
         assert truth["schedule"] == [[0.0, 6.0, 1]]
+
+    @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("field", ["duration_s", "schedule_start", "schedule_end"])
+    def test_non_finite_number_exits_2(self, tmp_path, capsys, field, literal):
+        start, end, duration = "0.0", "1.0", "1.0"
+        if field == "duration_s":
+            duration = literal
+        elif field == "schedule_start":
+            start = literal
+        else:
+            end = literal
+        path = tmp_path / "scene.json"
+        path.write_text(
+            f'{{"duration_s": {duration}, "schedule": [[{start}, {end}, 1]],'
+            ' "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0}]}'
+        )
+        code, _, err = run_cli(
+            ["simulate", "--scene", str(path), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "error:" in err
+
+    @pytest.mark.parametrize("duration", [0.01, 0.04])
+    def test_scene_shorter_than_one_mouth_sample(self, tmp_path, capsys, duration):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "duration_s": duration,
+            "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0}],
+        }))
+        code, _, _ = run_cli(
+            ["simulate", "--scene", str(path), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 0
+        assert (tmp_path / "mouth_1.csv").read_text() == "time_s,area\n"
+        left, _, _ = cli.read_wav(tmp_path / "audio.wav")
+        assert left.size == round(duration * 48000)
 
     def test_missing_scene_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -386,6 +443,18 @@ class TestAvsync:
         )
         assert code == 2
         assert "no such WAV file" in err
+
+    def test_mouth_times_off_the_10hz_grid_exit_2(self, sim_dir, tmp_path, capsys):
+        mouth = tmp_path / "gappy.csv"
+        mouth.write_text("time_s,area\n0.05,0.5\n0.15,0.6\n0.35,0.7\n")
+        code, _, err = run_cli(
+            ["avsync", "--wav", str(sim_dir / "audio.wav"),
+             "--mouth", str(mouth), "--window-s", "2",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "line 4" in err
 
     def test_constant_mouth_is_degenerate_exit_3(self, sim_dir, tmp_path, capsys):
         mouth = tmp_path / "flat.csv"

@@ -119,15 +119,6 @@ def test_ring_matches_list_oracle_under_random_pushes():
 # Evidence capture
 
 
-def test_evidence_buffer_validates_parameters():
-    with pytest.raises(DomainError):
-        EvidenceBuffer(threshold=0.0)
-    with pytest.raises(DomainError):
-        EvidenceBuffer(threshold=1.5)
-    with pytest.raises(DomainError):
-        EvidenceBuffer(debounce_s=-1.0)
-
-
 def test_capture_requires_full_ring():
     buf = EvidenceBuffer()
     ring = RingBuffer(8)
@@ -171,16 +162,6 @@ def test_capture_records_pose_and_ring_contents():
     assert np.array_equal(cap.left, expected_left)
 
 
-def test_capture_clear_resets_debounce():
-    ring = full_ring()
-    buf = EvidenceBuffer()
-    post = peaked_posterior(0.5)
-    buf.maybe_capture(0.0, post, ring, HeadPose(0, 0))
-    buf.clear()
-    assert buf.captures == []
-    assert buf.maybe_capture(0.5, post, ring, HeadPose(0, 0)) is not None
-
-
 # ---------------------------------------------------------------------------
 # Labeled records
 
@@ -205,16 +186,11 @@ def test_labeled_record_validation():
                       elevation_deg=0.0, episode_id=-1)
 
 
-def test_label_on_fixation_requires_success():
-    with pytest.raises(ContractViolationError):
-        label_on_fixation([], HeadPose(0, 0), False, 0)
-
-
 def test_label_on_fixation_relative_pose_labels():
     ring = full_ring(EVIDENCE_WINDOW_SAMPLES, seed=3)
     buf = EvidenceBuffer()
     cap = buf.maybe_capture(0.0, peaked_posterior(0.5), ring, HeadPose(10.0, 5.0))
-    records = label_on_fixation([cap], HeadPose(25.0, 10.0), True, episode_id=7)
+    records = label_on_fixation([cap], HeadPose(25.0, 10.0), episode_id=7)
     assert len(records) == 1
     rec = records[0]
     assert rec.azimuth_deg == 15.0
@@ -224,7 +200,7 @@ def test_label_on_fixation_relative_pose_labels():
 
 
 def test_label_on_fixation_empty_captures():
-    assert label_on_fixation([], HeadPose(0, 0), True, 0) == []
+    assert label_on_fixation([], HeadPose(0, 0), 0) == []
 
 
 # ---------------------------------------------------------------------------

@@ -98,7 +98,7 @@ def test_beamformer_bank_structure():
     assert len(bank.bin_centers) == 37
     assert bank.bin_centers[0] == -90 and bank.bin_centers[-1] == 90
     assert np.all(np.diff(bank.bin_centers) == 5)
-    assert np.all(np.diff(bank.itds) > 0)
+    assert np.all(np.diff(bank.lags) > 0)
 
 
 def test_beamform_matches_bruteforce_oracle():
@@ -197,14 +197,19 @@ def test_posterior_always_normalized():
         assert np.all(post.probs >= 0)
 
 
+def entropy(posterior):
+    p = posterior.probs[posterior.probs > 0]
+    return float(-np.sum(p * np.log(p)))
+
+
 def test_repeated_peaked_salience_decreases_entropy():
     salience = np.zeros(37)
     salience[25] = 1.0
     post = fe.uniform_posterior()
-    entropies = [post.entropy]
+    entropies = [entropy(post)]
     for _ in range(30):
         post = fe.update_posterior(post, salience)
-        entropies.append(post.entropy)
+        entropies.append(entropy(post))
     diffs = np.diff(entropies)
     # Strictly decreasing until numerical convergence.
     converged = np.abs(diffs) < 1e-12
@@ -253,6 +258,32 @@ def test_gammatone_stream_matches_one_shot():
     stream = fe.GammatoneStream(bank)
     chunks = [stream.process(c) for c in (x[:3000], x[3000:3001], x[3001:12_000], x[12_000:])]
     assert np.max(np.abs(np.concatenate(chunks, axis=1) - whole)) < 1e-12
+
+
+def stream_bands(x, chunk_lengths):
+    """Filter ``x`` (1-D or ``(channels, n)``) chunk by chunk with a fresh stream."""
+    channels = 1 if x.ndim == 1 else x.shape[0]
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8), channels=channels)
+    edges = np.cumsum([0] + chunk_lengths)
+    return np.concatenate(
+        [stream.process(x[..., a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=-1
+    )
+
+
+@pytest.mark.parametrize("shape", [(9600,), (2, 9600)], ids=["mono", "stereo"])
+@pytest.mark.parametrize(
+    "chunk_lengths", [[9600], [1, 4799, 4800], [333] * 28 + [276]], ids=["whole", "uneven", "small"]
+)
+def test_stream_fallback_filter_matches_kernel(monkeypatch, shape, chunk_lengths):
+    """Without SciPy's private kernel the stream runs the public ``sosfilt``
+    with transposed state, and gets the same bits."""
+    assert fe._sosfilt_kernel is not None
+    x = np.random.default_rng(5).standard_normal(shape)
+    kernel = stream_bands(x, chunk_lengths)
+    monkeypatch.setattr(fe, "_sosfilt_kernel", None)
+    fallback = stream_bands(x, chunk_lengths)
+    assert fallback.shape == kernel.shape == (8,) + shape
+    assert np.array_equal(fallback, kernel)
 
 
 def test_gammatone_stream_rejects_empty_chunk():

@@ -93,22 +93,3 @@ def test_segment_labels():
     assert all(fuzzy.classify(float(a)) == "right" for a in range(16, 46))
     assert all(fuzzy.classify(float(a)) == "far_right" for a in range(46, 91))
 
-
-def test_one_hot_vectors():
-    np.testing.assert_array_equal(fuzzy.to_one_hot("center"), [0, 0, 1, 0, 0])
-    np.testing.assert_array_equal(fuzzy.to_one_hot("far_left"), [1, 0, 0, 0, 0])
-    np.testing.assert_array_equal(fuzzy.to_one_hot("right"), [0, 0, 0, 1, 0])
-    with pytest.raises(DomainError):
-        fuzzy.to_one_hot("middle")
-
-
-def test_one_hot_exactly_one_entry():
-    for term in fuzzy.TERMS:
-        v = fuzzy.to_one_hot(term)
-        assert v.sum() == 1 and set(np.unique(v)) <= {0, 1}
-
-
-def test_partition_table_shape():
-    table = fuzzy.partition_table(step=5.0)
-    assert table.shape == (37, 6)
-    assert table[0, 0] == -90.0 and table[-1, 0] == 90.0

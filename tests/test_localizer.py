@@ -10,8 +10,6 @@ from cocktail.localizer import (
     EL_NUM_CLASSES,
     MLPLocalizer,
     azimuth_class,
-    class_azimuth,
-    class_elevation,
     elevation_class,
     evaluate_localizer,
     load_localizer,
@@ -79,14 +77,17 @@ def test_quantization_rejects_out_of_range():
 
 
 def test_class_to_degrees_roundtrip():
+    """``predict_angles`` turns each class back into the angle it quantizes."""
+    model = zero_localizer()
+    x = np.zeros(FEATURE_DIM)
     for angle in np.arange(-160.0, 161.0, 5.0):
-        assert class_azimuth(azimuth_class(angle)) == angle
+        model.ba[:] = 0.0
+        model.ba[azimuth_class(angle)] = 1.0
+        assert predict_angles(model, x)[0][0] == angle
     for angle in np.arange(-60.0, 61.0, 5.0):
-        assert class_elevation(elevation_class(angle)) == angle
-    with pytest.raises(DomainError):
-        class_azimuth(AZ_NUM_CLASSES)
-    with pytest.raises(DomainError):
-        class_elevation(-1)
+        model.be[:] = 0.0
+        model.be[elevation_class(angle)] = 1.0
+        assert predict_angles(model, x)[1][0] == angle
 
 
 # ---------------------------------------------------------------------------

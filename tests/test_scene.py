@@ -236,6 +236,24 @@ def test_mouth_streaming_consistency():
     assert np.array_equal(np.concatenate(parts), whole)
 
 
+def test_mouth_jitter_is_seeded_per_ten_sample_block():
+    """Jitter sample ``k`` comes from block ``k // 10``, seeded by (seed, 3,
+    speaker id, block), wherever the requested window starts and ends."""
+    scene = single_speaker_scene(0.0, mouth_gain=2.0)
+    spk = scene.speakers[0]
+    rng = np.random.default_rng(8)
+    for _ in range(20):
+        k0, n = int(rng.integers(0, 200)), int(rng.integers(1, 60))
+        _, clean = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, jitter=False)
+        _, noisy = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, seed=9)
+        blocks = [
+            np.random.default_rng(np.random.SeedSequence((9, 3, spk.id, b))).normal(0.0, 1.0, 10)
+            for b in range(k0 // 10, (k0 + n + 9) // 10)
+        ]
+        jitter = np.concatenate(blocks)[k0 % 10 : k0 % 10 + n]
+        assert np.array_equal(noisy, clean + 0.05 * spk.mouth_gain * jitter)
+
+
 def test_envelope_in_band():
     src = sc.SpeechSource(seed=11)
     t = np.linspace(0, 100, 10000)
@@ -319,10 +337,10 @@ def test_wav_round_trip(tmp_path):
     raw = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.25, seed=2)
     left, right = 0.5 * raw.left, 0.5 * raw.right  # keep within full scale
     path = tmp_path / "clip.wav"
-    cli.write_wav(path, left, right, rate=raw.rate)
+    cli.write_wav(path, left, right)
     back_left, back_right, rate = cli.read_wav(path)
-    assert rate == raw.rate
-    assert len(back_left) == len(back_right) == len(raw)
+    assert rate == sc.SAMPLE_RATE
+    assert len(back_left) == len(back_right) == len(raw.left)
     np.testing.assert_allclose(back_left, left, atol=1.0 / 32767)
     np.testing.assert_allclose(back_right, right, atol=1.0 / 32767)
 
