@@ -13,10 +13,8 @@ This matched-vs-mismatched gap is the signal that later tells the agent
 Run:  python demos/02_avsync_correlation.py
 """
 
-import numpy as np
-
 from cocktail.avsync import ALPHA, correlate_min_p
-from cocktail.cli import stereo_envelopes_10hz
+from cocktail.cli import stereo_envelopes_10hz, summarize_avsync
 from cocktail.scene import (
     HeadPose,
     Scene,
@@ -37,10 +35,8 @@ def report(title, results):
             continue
         verdict = "correlated" if res.p < ALPHA else "no evidence"
         print(f"  {w:>6}   {res.r:+.3f}   {res.p:<10.3g}   {verdict}")
-    rs = [res.r for res in results if res is not None]
-    ps = [res.p for res in results if res is not None]
-    share = 100.0 * np.mean(np.asarray(ps) < ALPHA)
-    print(f"  mean r = {np.mean(rs):+.3f}; significant in {share:.0f}% of windows")
+    mean_r, share = summarize_avsync(results)
+    print(f"  mean r = {mean_r:+.3f}; significant in {share:.0f}% of windows")
 
 
 def main():

@@ -36,7 +36,7 @@ import numpy as np
 
 from . import frontend
 from .avsync import analytic_envelope, correlate_min_p, resample_envelope, reward
-from .dataset import EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer, RingBuffer
+from .dataset import EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer
 from .errors import DomainError, FormatError, InputError
 from .fuzzy import classify, term_index
 from .scene import (
@@ -77,8 +77,8 @@ FIXATION_HOLD_STEPS = 3
 MAX_EPISODE_STEPS = 60
 FAST_MAX_EPISODE_STEPS = 40
 
-#: Audio rendered at the initial pose before the first step, so the ring
-#: buffer is full and the posterior is warmed up when the episode starts.
+#: Audio rendered at the initial pose before the first step, so the evidence
+#: window is full and the posterior is warmed up when the episode starts.
 PREROLL_S = 2.0
 
 #: Background noise level for sampled training/evaluation scenes.
@@ -287,7 +287,7 @@ def run_episode(
 
     The loop alternates observe / act / listen: the agent encodes its state
     from the current posterior, visuals and pan; possibly snapshots evidence
-    (the audio in the ring was rendered at the pre-action pose, keeping
+    (the recent audio window was rendered at the pre-action pose, keeping
     captures pose-consistent); picks an action; renders the next
     ``config.step_s`` of audio at the new pose; and scores the step with the
     audio-visual reward.  Success is three consecutive fixated steps;
@@ -306,26 +306,23 @@ def run_episode(
     fs = SAMPLE_RATE
 
     tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s, config.hop_s)
-    ring = RingBuffer(EVIDENCE_WINDOW_SAMPLES)
     evidence = EvidenceBuffer()
-    env_l = np.zeros(0)
-    env_r = np.zeros(0)
+    recent = np.zeros((2, 0))
+    env = np.zeros((2, 0))
     mouth = np.zeros(0)
     pose = init_pose
 
     def ingest(t0: float, duration: float, analyze_tail_s: float | None = None):
         """Render, buffer, and analyze ``[t0, t0 + duration)`` at `pose`."""
-        nonlocal env_l, env_r, mouth
+        nonlocal recent, env, mouth
         clip = render_binaural(scene, pose, t0, duration, seed=render_seed)
-        ring.push(clip.left, clip.right)
         stereo = np.stack([clip.left, clip.right])
-        env_pair = analytic_envelope(stereo)
-        env_l = np.concatenate(
-            [env_l, resample_envelope(env_pair[0], fs, MOUTH_RATE_HZ)]
-        )
-        env_r = np.concatenate(
-            [env_r, resample_envelope(env_pair[1], fs, MOUTH_RATE_HZ)]
-        )
+        # Trimming the chunk first bounds what the kept slice holds alive.
+        recent = np.concatenate(
+            [recent, stereo[:, -EVIDENCE_WINDOW_SAMPLES:]], axis=1
+        )[:, -EVIDENCE_WINDOW_SAMPLES:]
+        env10 = resample_envelope(analytic_envelope(stereo), fs, MOUTH_RATE_HZ)
+        env = np.concatenate([env, env10], axis=1)
         _, areas = mouth_area_signal(
             speaker, scene.schedule, t0, duration, seed=render_seed
         )
@@ -342,9 +339,9 @@ def run_episode(
                 face = (gx, gy)
         return encode_state(loc, face, pose.pan)
 
-    # Pre-roll at the initial pose.  The whole stretch feeds the ring and
-    # envelope buffers; only the final evidence-window span runs through the
-    # (costly) frontend to warm up the posterior.
+    # Pre-roll at the initial pose.  The whole stretch feeds the evidence
+    # window and the envelopes; only the final evidence-window span runs
+    # through the (costly) frontend to warm up the posterior.
     ingest(0.0, PREROLL_S, analyze_tail_s=min(PREROLL_S, 0.5))
 
     total_reward = 0.0
@@ -355,7 +352,7 @@ def run_episode(
     state = observe()
     for k in range(config.max_steps):
         t = PREROLL_S + k * config.step_s
-        evidence.maybe_capture(t, tracker.posterior, ring, pose)
+        evidence.maybe_capture(t, tracker.posterior, recent, pose)
         action = select_action(qtable.values[state], epsilon, rng)
         pose = step_head(pose, ACTIONS[action])
         ingest(t, config.step_s)
@@ -365,7 +362,7 @@ def run_episode(
         corr = None
         if fixated and mouth.size >= config.corr_window_n:
             w = config.corr_window_n
-            corr = correlate_min_p(env_l[-w:], env_r[-w:], mouth[-w:], window_n=w)[0]
+            corr = correlate_min_p(env[0, -w:], env[1, -w:], mouth[-w:], window_n=w)[0]
         step_reward = reward(fixated, corr)
         total_reward += step_reward.total
         steps = k + 1

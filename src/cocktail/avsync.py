@@ -6,14 +6,12 @@ signal with a windowed Pearson correlation, and converts the result into a
 scalar reward for the attention agent:
 
 1. :func:`analytic_envelope` computes ``|x + j*H(x)|`` where ``H`` is the
-   Hilbert transform, realised directly in the frequency domain.
+   Hilbert transform (``scipy.signal.hilbert``), one row per channel.
 2. :func:`resample_envelope` reduces the envelope to the mouth-signal rate
-   (10 Hz) by averaging non-overlapping sample blocks.
+   (10 Hz) by averaging non-overlapping sample blocks, one row per channel.
 3. :func:`pearson` computes the correlation coefficient together with a
-   two-sided p-value from the exact t distribution of ``r`` under the null.
-   The p-value is evaluated with a hand-written regularized incomplete beta
-   function (continued fraction, modified Lentz's method) so the statistical
-   core carries no external dependency.
+   two-sided p-value from the exact t distribution of ``r`` under the null,
+   evaluated as scipy's regularized incomplete beta function.
 4. :func:`correlate_min_p` slides non-overlapping windows over an envelope
    pair and a mouth signal and keeps, per window, the channel with the
    smaller p-value.
@@ -27,6 +25,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.signal import hilbert
+from scipy.special import betainc
 
 from .errors import ContractViolationError, DegenerateDataError, DomainError
 
@@ -37,29 +37,16 @@ ALPHA = 0.05
 #: 10 Hz mouth rate this spans 10 seconds of signal.
 WINDOW_N = 100
 
-#: Convergence threshold for the incomplete-beta continued fraction.
-_BETA_EPS = 1e-12
-_BETA_MAX_ITER = 300
-_BETA_TINY = 1e-300
-
 
 # ---------------------------------------------------------------------------
 # Envelope extraction
 
 
 def analytic_envelope(x: np.ndarray) -> np.ndarray:
-    """Amplitude envelope of ``x`` via the frequency-domain analytic signal.
+    """Amplitude envelope ``|x + j*H(x)|`` of ``x``, ``H`` the Hilbert transform.
 
-    The analytic signal ``x_a = x + j*H(x)`` is built by zeroing the negative
-    frequencies of the DFT and doubling the positive ones:
-
-    * ``h[0] = 1`` (DC passes unchanged),
-    * ``h[n//2] = 1`` for even ``n`` (Nyquist passes unchanged),
-    * ``h[k] = 2`` for the remaining positive frequencies,
-    * ``h[k] = 0`` for negative frequencies.
-
-    The envelope is ``|x_a|``.  Input must be finite and real: either a 1-D
-    signal or a ``(channels, n)`` batch transformed along the last axis.
+    Input must be finite and real: either a 1-D signal or a ``(channels, n)``
+    batch transformed along the last axis.
     """
     arr = np.asarray(x, dtype=np.float64)
     if arr.ndim not in (1, 2):
@@ -69,17 +56,7 @@ def analytic_envelope(x: np.ndarray) -> np.ndarray:
         raise DomainError(f"envelope input needs at least 2 samples, got {n}")
     if not np.all(np.isfinite(arr)):
         raise DomainError("envelope input contains non-finite values")
-    spectrum = np.fft.fft(arr, axis=-1)
-    h = np.zeros(n)
-    if n % 2 == 0:
-        h[0] = 1.0
-        h[n // 2] = 1.0
-        h[1 : n // 2] = 2.0
-    else:
-        h[0] = 1.0
-        h[1 : (n + 1) // 2] = 2.0
-    analytic = np.fft.ifft(spectrum * h, axis=-1)
-    return np.abs(analytic)
+    return np.abs(hilbert(arr, axis=-1))
 
 
 def resample_envelope(
@@ -91,11 +68,12 @@ def resample_envelope(
     envelope length must be a whole number of blocks, so every output sample
     is the mean of exactly ``rate_in // rate_out`` inputs.  With 48 kHz in and
     10 Hz out each output sample averages 4800 inputs, i.e. one tenth of a
-    second of signal.
+    second of signal.  Like :func:`analytic_envelope`, it takes a 1-D
+    envelope or a ``(channels, n)`` batch averaged along the last axis.
     """
     arr = np.asarray(envelope, dtype=np.float64)
-    if arr.ndim != 1:
-        raise DomainError(f"envelope must be 1-D, got shape {arr.shape}")
+    if arr.ndim not in (1, 2):
+        raise DomainError(f"envelope must be 1-D or 2-D, got shape {arr.shape}")
     if rate_in <= 0 or rate_out <= 0:
         raise DomainError(f"rates must be positive, got {rate_in}/{rate_out}")
     if rate_in % rate_out != 0:
@@ -103,86 +81,16 @@ def resample_envelope(
             f"rate_in={rate_in} is not an integer multiple of rate_out={rate_out}"
         )
     block = rate_in // rate_out
-    if arr.size % block != 0:
+    if arr.shape[-1] % block != 0:
         raise DomainError(
-            f"envelope length {arr.size} is not a multiple of the block size {block}"
+            f"envelope length {arr.shape[-1]} is not a multiple of the block "
+            f"size {block}"
         )
-    return arr.reshape(-1, block).mean(axis=1)
+    return arr.reshape(*arr.shape[:-1], -1, block).mean(axis=-1)
 
 
 # ---------------------------------------------------------------------------
 # Pearson correlation with exact p-value
-
-
-def _beta_continued_fraction(a: float, b: float, x: float) -> float:
-    """Continued fraction for the incomplete beta, modified Lentz's method."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = 1.0
-    d = 1.0 - qab * x / qap
-    if abs(d) < _BETA_TINY:
-        d = _BETA_TINY
-    d = 1.0 / d
-    h = d
-    for m in range(1, _BETA_MAX_ITER + 1):
-        m2 = 2 * m
-        # Even step of the recurrence.
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        h *= d * c
-        # Odd step.
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < _BETA_TINY:
-            d = _BETA_TINY
-        c = 1.0 + aa / c
-        if abs(c) < _BETA_TINY:
-            c = _BETA_TINY
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < _BETA_EPS:
-            return h
-    raise ContractViolationError(
-        f"incomplete beta continued fraction failed to converge for "
-        f"a={a}, b={b}, x={x}"
-    )
-
-
-def betainc_regularized(a: float, b: float, x: float) -> float:
-    """Regularized incomplete beta function I_x(a, b).
-
-    Evaluated as ``front * cf`` where ``front`` collects the gamma-function
-    prefactor (computed in log space) and ``cf`` is the continued fraction.
-    The symmetry ``I_x(a, b) = 1 - I_{1-x}(b, a)`` selects the branch on
-    which the continued fraction converges quickly.
-    """
-    if not (a > 0.0 and b > 0.0):
-        raise DomainError(f"beta parameters must be positive, got a={a}, b={b}")
-    if x < 0.0 or x > 1.0:
-        raise DomainError(f"incomplete beta argument must be in [0, 1], got {x}")
-    if x == 0.0:
-        return 0.0
-    if x == 1.0:
-        return 1.0
-    log_front = (
-        math.lgamma(a + b)
-        - math.lgamma(a)
-        - math.lgamma(b)
-        + a * math.log(x)
-        + b * math.log1p(-x)
-    )
-    front = math.exp(log_front)
-    if x < (a + 1.0) / (a + b + 2.0):
-        return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
@@ -240,7 +148,7 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         return r, 0.0
     df = n - 2
     t_sq = r * r * df / (1.0 - r * r)
-    p = betainc_regularized(df / 2.0, 0.5, df / (df + t_sq))
+    p = float(betainc(df / 2.0, 0.5, df / (df + t_sq)))
     return r, min(1.0, max(0.0, p))
 
 

@@ -93,16 +93,27 @@ SUMMARY_FILE = "summary.json"
 
 
 def resolve_seed(arg_seed) -> int:
-    """``--seed`` wins; otherwise $COCKTAIL_SEED; otherwise 42."""
-    if arg_seed is not None:
-        return int(arg_seed)
-    env = os.environ.get(SEED_ENV)
-    if env is None:
-        return DEFAULT_SEED
+    """``--seed`` wins; otherwise $COCKTAIL_SEED; otherwise 42.
+
+    Seeds key numpy's seed sequences, so they must not be negative.
+    """
+    seed = arg_seed if arg_seed is not None else os.environ.get(SEED_ENV, DEFAULT_SEED)
     try:
-        return int(env)
+        seed = int(seed)
     except ValueError:
-        raise InputError(f"{SEED_ENV} must be an integer, got {env!r}") from None
+        raise InputError(f"{SEED_ENV} must be an integer, got {seed!r}") from None
+    if seed < 0:
+        raise InputError(f"seed must be non-negative, got {seed}")
+    return seed
+
+
+def _read_text(path, what) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"no such {what}: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -136,6 +147,10 @@ def _fmt(value) -> str:
 #: What converting a JSON value of the wrong type, shape or range raises.
 _CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
 
+#: The longest scene ``simulate`` can write: a 16-bit stereo WAV stores
+#: ``36 + 4 * frames`` in its 32-bit RIFF size field.
+MAX_SCENE_S = ((2**32 - 1 - 36) // 4) / SAMPLE_RATE
+
 
 def _require(obj, key, what):
     if key not in obj:
@@ -143,32 +158,41 @@ def _require(obj, key, what):
     return obj[key]
 
 
-def _reject_constant(name):
-    raise FormatError(f"scene config may not contain {name}")
+def _finite_float(text):
+    value = float(text)
+    if not np.isfinite(value):
+        raise FormatError(f"scene config number {text} is not a finite float")
+    return value
 
 
 def load_scene_config(path) -> tuple[Scene, float]:
     """Parse a scene JSON document into a :class:`Scene` plus its duration.
 
-    ``NaN``, ``Infinity`` and ``-Infinity``, which Python's JSON reader
-    would otherwise accept, raise :class:`FormatError` wherever they appear.
+    ``NaN``, ``Infinity``, ``-Infinity`` and numbers too large for a float,
+    which Python's JSON reader would otherwise accept, raise
+    :class:`FormatError` wherever they appear, and so do a duration or
+    schedule time beyond :data:`MAX_SCENE_S`.
     """
+    text = _read_text(path, "scene file")
     try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such scene file: {path}") from None
-    try:
-        doc = json.loads(text, parse_constant=_reject_constant)
+        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
+    except (ValueError, RecursionError) as exc:
+        # An integer past Python's digit limit, or arrays nested too deep.
+        raise FormatError(f"unreadable scene config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("scene config must be a JSON object")
 
     duration = _require(doc, "duration_s", "scene config")
     if not isinstance(duration, (int, float)) or isinstance(duration, bool):
         raise FormatError("duration_s must be a number")
-    if duration <= 0:
-        raise FormatError(f"duration_s must be positive, got {duration}")
+    if not 0 < duration <= MAX_SCENE_S:
+        raise FormatError(
+            f"duration_s must be positive and at most {MAX_SCENE_S:.1f} s, "
+            "the longest a 16-bit stereo WAV file holds"
+        )
+    duration = float(duration)
 
     speaker_docs = _require(doc, "speakers", "scene config")
     if not isinstance(speaker_docs, list) or not speaker_docs:
@@ -201,7 +225,7 @@ def load_scene_config(path) -> tuple[Scene, float]:
 
     segments_doc = doc.get("schedule")
     if segments_doc is None:
-        segments = ((0.0, float(duration), speakers[0].id),)
+        segments = ((0.0, duration, speakers[0].id),)
     else:
         if not isinstance(segments_doc, list) or not segments_doc:
             raise FormatError("schedule must be a non-empty list")
@@ -213,22 +237,28 @@ def load_scene_config(path) -> tuple[Scene, float]:
                 )
             start, end, sid = seg
             try:
-                segments.append(
-                    (float(start), float(end), None if sid is None else int(sid))
-                )
+                start, end = float(start), float(end)
+                sid = None if sid is None else int(sid)
             except _CONVERSION_ERRORS as exc:
                 raise FormatError(f"bad schedule entry {seg!r}: {exc}") from None
+            if max(abs(start), abs(end)) > MAX_SCENE_S:
+                raise FormatError(f"schedule entry {seg!r} is beyond {MAX_SCENE_S:.1f} s")
+            segments.append((start, end, sid))
         segments = tuple(segments)
 
     noise = doc.get("noise_level", 0.01)
     if isinstance(noise, bool) or not isinstance(noise, (int, float)):
         raise FormatError("noise_level must be a number")
+    try:
+        noise = float(noise)
+    except OverflowError:
+        raise FormatError("noise_level is too large for a float") from None
     scene = Scene(
         speakers=tuple(speakers),
         schedule=TurnSchedule(segments),
-        noise_level=float(noise),
+        noise_level=noise,
     )
-    return scene, float(duration)
+    return scene, duration
 
 
 # ---------------------------------------------------------------------------
@@ -274,10 +304,7 @@ def write_mouth_csv(path, times, areas) -> None:
 
 def read_mouth_csv(path) -> np.ndarray:
     """Read the areas of a mouth-area CSV whose times step by 0.1 s."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such mouth-area file: {path}") from None
+    text = _read_text(path, "mouth-area file")
     lines = text.splitlines()
     if not lines or lines[0].strip() != "time_s,area":
         raise FormatError(f"{path}: expected header 'time_s,area'")
@@ -312,12 +339,9 @@ def read_mouth_csv(path) -> np.ndarray:
 
 
 def stereo_envelopes_10hz(left, right, rate: int = SAMPLE_RATE):
-    """Channel envelopes resampled to the mouth-area rate."""
+    """The ``(2, k)`` channel envelopes resampled to the mouth-area rate."""
     env = analytic_envelope(np.stack([left, right]))
-    return (
-        resample_envelope(env[0], rate, MOUTH_RATE_HZ),
-        resample_envelope(env[1], rate, MOUTH_RATE_HZ),
-    )
+    return resample_envelope(env, rate, MOUTH_RATE_HZ)
 
 
 def avsync_windows(env1, env2, mouth, window_s: float):
@@ -336,15 +360,6 @@ def summarize_avsync(results) -> tuple[float, float]:
     rs = [res.r for res in results if res is not None]
     ps = [res.p for res in results if res is not None]
     return float(np.mean(rs)), float(100.0 * np.mean(np.asarray(ps) < ALPHA))
-
-
-def synthetic_avsync_inputs(scene: Scene, duration: float, speaker_id: int, seed: int):
-    """Render a scene and return (env1, env2, mouth) for one speaker."""
-    speaker = scene.speaker(speaker_id)
-    clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-    env1, env2 = stereo_envelopes_10hz(clip.left, clip.right)
-    _, mouth = mouth_area_signal(speaker, scene.schedule, 0.0, duration, seed=seed)
-    return env1, env2, mouth
 
 
 def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
@@ -448,13 +463,16 @@ def cmd_avsync(args) -> int:
     if args.synthetic:
         scene, duration = load_scene_config(args.synthetic)
         speaker_id = args.speaker if args.speaker is not None else scene.speakers[0].id
-        env1, env2, mouth = synthetic_avsync_inputs(scene, duration, speaker_id, seed)
+        speaker = scene.speaker(speaker_id)
+        clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
+        left, right, rate = clip.left, clip.right, SAMPLE_RATE
+        _, mouth = mouth_area_signal(speaker, scene.schedule, 0.0, duration, seed=seed)
     else:
         if not args.wav or not args.mouth:
             raise InputError("avsync needs either --synthetic or --wav plus --mouth")
         left, right, rate = read_wav(args.wav)
-        env1, env2 = stereo_envelopes_10hz(left, right, rate)
         mouth = read_mouth_csv(args.mouth)
+    env1, env2 = stereo_envelopes_10hz(left, right, rate)
     results = avsync_windows(env1, env2, mouth, args.window_s)
     rows = []
     for w, res in enumerate(results):

@@ -1,7 +1,7 @@
 """Self-supervised dataset collection: evidence capture, labeling, storage.
 
 During an episode the agent continuously keeps the most recent half second
-of binaural audio in a :class:`RingBuffer`.  Whenever the auditory azimuth
+of binaural audio as a ``(2, n)`` array.  Whenever the auditory azimuth
 posterior is confident enough (and a debounce interval has passed) the
 :class:`EvidenceBuffer` snapshots that audio together with the head pose at
 capture time.  Nothing is labeled yet: the label arrives only when the
@@ -28,7 +28,6 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
-    ContractViolationError,
     DomainError,
     FormatError,
     InputError,
@@ -63,59 +62,6 @@ _RECORD_KEYS = frozenset({"azimuth_deg", "elevation_deg", "episode_id", "feature
 _HEADER_KEYS = ("format", "version", "feature_dim", "count")
 
 
-class RingBuffer:
-    """Fixed-capacity rolling window over a stereo sample stream."""
-
-    def __init__(self, capacity: int):
-        if capacity <= 0:
-            raise DomainError(f"ring capacity must be positive, got {capacity}")
-        self.capacity = int(capacity)
-        self._left = np.zeros(self.capacity)
-        self._right = np.zeros(self.capacity)
-        self._pos = 0
-        self._count = 0
-
-    @property
-    def full(self) -> bool:
-        return self._count >= self.capacity
-
-    def push(self, left: np.ndarray, right: np.ndarray) -> None:
-        """Append a stereo chunk, discarding the oldest samples on overflow."""
-        l = np.asarray(left, dtype=np.float64)
-        r = np.asarray(right, dtype=np.float64)
-        if l.ndim != 1 or r.ndim != 1 or l.size != r.size:
-            raise DomainError("ring push needs two equal-length 1-D chunks")
-        n = l.size
-        if n == 0:
-            return
-        if n >= self.capacity:
-            self._left[:] = l[n - self.capacity :]
-            self._right[:] = r[n - self.capacity :]
-            self._pos = 0
-            self._count = self.capacity
-            return
-        first = min(n, self.capacity - self._pos)
-        self._left[self._pos : self._pos + first] = l[:first]
-        self._right[self._pos : self._pos + first] = r[:first]
-        rest = n - first
-        if rest:
-            self._left[:rest] = l[first:]
-            self._right[:rest] = r[first:]
-        self._pos = (self._pos + n) % self.capacity
-        self._count = min(self.capacity, self._count + n)
-
-    def snapshot(self) -> tuple[np.ndarray, np.ndarray]:
-        """The window contents in chronological order; requires a full ring."""
-        if not self.full:
-            raise ContractViolationError(
-                f"ring snapshot requires a full buffer "
-                f"({self._count}/{self.capacity} samples)"
-            )
-        left = np.concatenate([self._left[self._pos :], self._left[: self._pos]])
-        right = np.concatenate([self._right[self._pos :], self._right[: self._pos]])
-        return left, right
-
-
 @dataclass(frozen=True, eq=False)
 class EvidenceCapture:
     """An unlabeled audio snapshot plus the head pose that recorded it."""
@@ -135,21 +81,22 @@ class EvidenceBuffer:
         self.captures: list[EvidenceCapture] = []
         self._last_t: float | None = None
 
-    def maybe_capture(self, t_s, posterior, ring: RingBuffer, pose: HeadPose):
-        """Snapshot the ring if the posterior peak clears the threshold.
+    def maybe_capture(self, t_s, posterior, recent: np.ndarray, pose: HeadPose):
+        """Snapshot the last evidence window of the ``(2, n)`` stereo array
+        ``recent`` if the posterior peak clears the threshold.
 
-        Returns the new :class:`EvidenceCapture`, or ``None`` when the
-        posterior is too flat, the debounce interval has not elapsed, or
-        the ring is not yet full.
+        Returns the new :class:`EvidenceCapture`, whose audio is a copy, or
+        ``None`` when the posterior is too flat, the debounce interval has
+        not elapsed, or ``recent`` holds less than one evidence window.
         """
-        if not ring.full:
+        if recent.shape[-1] < EVIDENCE_WINDOW_SAMPLES:
             return None
         peak = float(np.max(posterior.probs))
         if peak < CAPTURE_THRESHOLD:
             return None
         if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
             return None
-        left, right = ring.snapshot()
+        left, right = np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:])
         capture = EvidenceCapture(
             time_s=float(t_s),
             pan_deg=pose.pan,
@@ -279,7 +226,10 @@ def _parse_line(n: int, line: str):
 def _require_number(value, what: str, n: int) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise FormatError(f"line {n}: {what} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:
+        raise FormatError(f"line {n}: {what} is too large for a float") from None
 
 
 def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
@@ -293,6 +243,8 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
         text = Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
         raise InputError(f"no such dataset file: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"dataset file {path} is not UTF-8 text: {exc}") from None
     lines = text.splitlines()
     if not lines:
         raise FormatError("empty dataset file")

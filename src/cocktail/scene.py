@@ -72,6 +72,8 @@ class SpeechSource:
     modulation_band: tuple[float, float] = (0.5, 8.0)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise DomainError(f"speech seed must be nonnegative, got {self.seed}")
         lo, hi = self.modulation_band
         if not (0.5 <= lo < hi <= 16.0):
             raise DomainError(

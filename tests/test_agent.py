@@ -28,6 +28,7 @@ from cocktail.agent import (
     select_action,
     train,
 )
+from cocktail.dataset import EVIDENCE_WINDOW_SAMPLES
 from cocktail.errors import DomainError, FormatError, InputError
 from cocktail.scene import (
     GRID_H,
@@ -37,6 +38,7 @@ from cocktail.scene import (
     SpeakerSpec,
     SpeechSource,
     TurnSchedule,
+    render_binaural,
 )
 
 FAST = AgentConfig(fast=True)
@@ -312,6 +314,28 @@ def test_run_episode_captures_initial_pose_evidence():
     assert cap.pan_deg == 0.0
     assert cap.tilt_deg == 0.0
     assert cap.posterior_peak >= 0.25
+
+
+def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
+    # The speaker sits outside the fixation box and the zero table holds
+    # still, so the episode runs all 40 steps and captures at 2 s and 4 s.
+    chunks = []
+
+    def recording_render(*args, **kwargs):
+        clip = render_binaural(*args, **kwargs)
+        chunks.append((args[2], clip))
+        return clip
+
+    monkeypatch.setattr(ag, "render_binaural", recording_render)
+    scene = single_speaker_scene(45.0, 0.0)
+    result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=FAST)
+    assert [cap.time_s for cap in result.captures] == [2.0, 4.0]
+    for cap in result.captures:
+        before = [clip for t0, clip in chunks if t0 < cap.time_s]
+        left = np.concatenate([clip.left for clip in before])
+        right = np.concatenate([clip.right for clip in before])
+        assert np.array_equal(cap.left, left[-EVIDENCE_WINDOW_SAMPLES:])
+        assert np.array_equal(cap.right, right[-EVIDENCE_WINDOW_SAMPLES:])
 
 
 def test_run_episode_breaking_fixation_terminates_as_failure():

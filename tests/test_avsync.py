@@ -12,7 +12,6 @@ from cocktail.avsync import (
     CorrelationResult,
     RewardBreakdown,
     analytic_envelope,
-    betainc_regularized,
     correlate_min_p,
     pearson,
     resample_envelope,
@@ -54,10 +53,23 @@ def p_by_integration(r: float, n: int) -> float:
 
 
 def p_from_r(r: float, n: int) -> float:
-    """Package p-value for a given (r, n) pair via the public beta function."""
-    df = n - 2
-    t_sq = r * r * df / (1.0 - r * r)
-    return betainc_regularized(df / 2.0, 0.5, df / (df + t_sq))
+    """Package p-value for a pair of ``n``-sample series correlated at ``r``.
+
+    Two fixed zero-mean orthonormal vectors are mixed so that the sample
+    correlation is ``r`` to rounding; negating ``r`` negates the mix exactly.
+    """
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n)
+    a -= a.mean()
+    a /= math.sqrt(float(a @ a))
+    b = rng.standard_normal(n)
+    b -= b.mean()
+    b -= float(b @ a) * a
+    b /= math.sqrt(float(b @ b))
+    y = abs(r) * a + math.sqrt(1.0 - r * r) * b
+    got_r, p = pearson(a, y if r >= 0 else -y)
+    assert got_r == pytest.approx(r, abs=1e-12)
+    return p
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +154,14 @@ class TestResampleEnvelope:
         out = resample_envelope(np.zeros(12 * 48_000), 48_000, 10)
         assert out.shape == (120,)
 
+    def test_batched_rows_match_single_calls(self):
+        rng = np.random.default_rng(12)
+        env = rng.random((2, 3 * 4800))
+        out = resample_envelope(env, 48_000, 10)
+        assert out.shape == (2, 3)
+        assert np.array_equal(out[0], resample_envelope(env[0], 48_000, 10))
+        assert np.array_equal(out[1], resample_envelope(env[1], 48_000, 10))
+
     def test_rejects_incompatible_rates_and_lengths(self):
         with pytest.raises(DomainError):
             resample_envelope(np.zeros(100), 48_000, 7)
@@ -150,7 +170,9 @@ class TestResampleEnvelope:
         with pytest.raises(DomainError):
             resample_envelope(np.zeros(100), 0, 10)
         with pytest.raises(DomainError):
-            resample_envelope(np.zeros((10, 10)), 48_000, 10)
+            resample_envelope(np.zeros((2, 4801)), 48_000, 10)
+        with pytest.raises(DomainError):
+            resample_envelope(np.zeros((2, 2, 4800)), 48_000, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -231,39 +253,6 @@ class TestPearson:
             pearson([1.0, 2.0, 3.0], [1.0, 2.0])
         with pytest.raises(DomainError):
             pearson([1.0, np.inf, 3.0], [1.0, 2.0, 3.0])
-
-
-class TestBetaIncomplete:
-    def test_uniform_case_is_identity(self):
-        for x in (0.0, 0.1, 0.5, 0.9, 1.0):
-            assert betainc_regularized(1.0, 1.0, x) == pytest.approx(x, abs=1e-12)
-
-    def test_reflection_identity(self):
-        rng = np.random.default_rng(19)
-        for _ in range(50):
-            a = float(rng.uniform(0.5, 50.0))
-            b = float(rng.uniform(0.5, 50.0))
-            x = float(rng.uniform(0.01, 0.99))
-            total = betainc_regularized(a, b, x) + betainc_regularized(
-                b, a, 1.0 - x
-            )
-            assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_scipy(self):
-        rng = np.random.default_rng(23)
-        for _ in range(100):
-            a = float(rng.uniform(0.5, 200.0))
-            b = float(rng.uniform(0.5, 200.0))
-            x = float(rng.uniform(0.0, 1.0))
-            assert betainc_regularized(a, b, x) == pytest.approx(
-                float(scipy.special.betainc(a, b, x)), abs=1e-12
-            )
-
-    def test_rejects_bad_arguments(self):
-        with pytest.raises(DomainError):
-            betainc_regularized(-1.0, 1.0, 0.5)
-        with pytest.raises(DomainError):
-            betainc_regularized(1.0, 1.0, 1.5)
 
 
 # ---------------------------------------------------------------------------

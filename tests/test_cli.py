@@ -352,6 +352,62 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("duration, end, noise", [
+        ("1e12", "1.0", "0.01"),
+        ("1e400", "1.0", "0.01"),
+        ("1.0", "1e400", "0.01"),
+        ("1.0", "1e308", "0.01"),
+        ("1" + "0" * 400, "1.0", "0.01"),
+        ("1.0", "1.0", "1" + "0" * 400),
+    ], ids=["duration_1e12", "duration_1e400", "end_1e400", "end_1e308",
+            "duration_long_int", "noise_long_int"])
+    @pytest.mark.parametrize("command", ["simulate", "avsync"])
+    def test_overflowing_scene_number_exits_2(self, tmp_path, capsys, command,
+                                              duration, end, noise):
+        path = tmp_path / "scene.json"
+        path.write_text(
+            f'{{"duration_s": {duration}, "noise_level": {noise},'
+            f' "schedule": [[0.0, {end}, 1]],'
+            ' "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0}]}'
+        )
+        flag = "--scene" if command == "simulate" else "--synthetic"
+        code, _, err = run_cli(
+            [command, flag, str(path), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert "error:" in err
+
+    def test_scene_as_long_as_a_wav_file_holds_parses(self, tmp_path):
+        # 36 + 4 * frames <= 2**32 - 1 allows 1_073_741_814 stereo frames.
+        limit = 1_073_741_814 / 48_000
+        assert cli.MAX_SCENE_S == limit
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "duration_s": limit,
+            "schedule": [[0.0, limit, 1]],
+            "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0}],
+        }))
+        _, duration = cli.load_scene_config(path)
+        assert duration == limit
+        path.write_text(path.read_text().replace(repr(limit), "22369.7", 1))
+        with pytest.raises(FormatError):
+            cli.load_scene_config(path)
+
+    def test_negative_seed_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        speaker = {"id": 1, "azimuth_deg": 0, "elevation_deg": 0}
+        for seed_arg, speech_seed in ((["--seed", "-1"], 0), ([], -1)):
+            path.write_text(json.dumps({
+                "duration_s": 0.1, "speakers": [{**speaker, "seed": speech_seed}],
+            }))
+            code, _, err = run_cli(
+                ["simulate", "--scene", str(path), "--out-dir", str(tmp_path),
+                 *seed_arg],
+                capsys,
+            )
+            assert code == 2
+            assert "error:" in err
+
     @pytest.mark.parametrize("duration", [0.01, 0.04])
     def test_scene_shorter_than_one_mouth_sample(self, tmp_path, capsys, duration):
         path = tmp_path / "scene.json"

@@ -13,14 +13,12 @@ from cocktail.dataset import (
     EVIDENCE_WINDOW_SAMPLES,
     EvidenceBuffer,
     LabeledRecord,
-    RingBuffer,
     build_dataset,
     label_on_fixation,
     read_dataset,
     write_dataset,
 )
 from cocktail.errors import (
-    ContractViolationError,
     DomainError,
     FormatError,
     InputError,
@@ -39,80 +37,9 @@ def peaked_posterior(peak):
     return AzimuthPosterior(probs, np.array(AZIMUTH_BINS, dtype=np.float64))
 
 
-def full_ring(capacity=16, seed=0):
-    rng = np.random.default_rng(seed)
-    ring = RingBuffer(capacity)
-    ring.push(rng.normal(size=capacity), rng.normal(size=capacity))
-    return ring
-
-
-# ---------------------------------------------------------------------------
-# Ring buffer
-
-
-def test_ring_rejects_bad_capacity_and_chunks():
-    with pytest.raises(DomainError):
-        RingBuffer(0)
-    ring = RingBuffer(8)
-    with pytest.raises(DomainError):
-        ring.push(np.zeros(3), np.zeros(4))
-    with pytest.raises(DomainError):
-        ring.push(np.zeros((2, 2)), np.zeros((2, 2)))
-
-
-def test_ring_snapshot_requires_full_buffer():
-    ring = RingBuffer(8)
-    ring.push(np.ones(5), np.ones(5))
-    assert not ring.full
-    with pytest.raises(ContractViolationError):
-        ring.snapshot()
-    ring.push(np.ones(3), np.ones(3))
-    assert ring.full
-    ring.snapshot()
-
-
-def test_ring_keeps_most_recent_samples_in_order():
-    ring = RingBuffer(8)
-    data = np.arange(12.0)
-    for start in (0, 3, 6, 9):
-        chunk = data[start : start + 3]
-        ring.push(chunk, -chunk)
-    left, right = ring.snapshot()
-    assert np.array_equal(left, data[-8:])
-    assert np.array_equal(right, -data[-8:])
-
-
-def test_ring_oversized_push_keeps_tail():
-    ring = RingBuffer(4)
-    ring.push(np.arange(10.0), np.arange(10.0) + 100)
-    left, right = ring.snapshot()
-    assert np.array_equal(left, [6.0, 7.0, 8.0, 9.0])
-    assert np.array_equal(right, [106.0, 107.0, 108.0, 109.0])
-
-
-def test_ring_empty_push_is_noop():
-    ring = full_ring(4)
-    before = ring.snapshot()
-    ring.push(np.zeros(0), np.zeros(0))
-    after = ring.snapshot()
-    assert np.array_equal(before[0], after[0])
-
-
-def test_ring_matches_list_oracle_under_random_pushes():
-    rng = np.random.default_rng(77)
-    ring = RingBuffer(16)
-    seen_l, seen_r = [], []
-    for _ in range(50):
-        n = int(rng.integers(0, 13))
-        chunk_l = rng.normal(size=n)
-        chunk_r = rng.normal(size=n)
-        ring.push(chunk_l, chunk_r)
-        seen_l.extend(chunk_l)
-        seen_r.extend(chunk_r)
-        if len(seen_l) >= 16:
-            left, right = ring.snapshot()
-            assert np.array_equal(left, np.array(seen_l[-16:]))
-            assert np.array_equal(right, np.array(seen_r[-16:]))
+def recent_audio(n=EVIDENCE_WINDOW_SAMPLES, seed=0):
+    """A ``(2, n)`` stereo window like the one an episode keeps."""
+    return np.random.default_rng(seed).normal(size=(2, n))
 
 
 # ---------------------------------------------------------------------------
@@ -121,45 +48,45 @@ def test_ring_matches_list_oracle_under_random_pushes():
 
 def test_capture_requires_full_ring():
     buf = EvidenceBuffer()
-    ring = RingBuffer(8)
-    ring.push(np.ones(4), np.ones(4))
-    assert buf.maybe_capture(0.0, peaked_posterior(0.9), ring, HeadPose(0, 0)) is None
+    short = recent_audio(EVIDENCE_WINDOW_SAMPLES - 1)
+    assert buf.maybe_capture(0.0, peaked_posterior(0.9), short, HeadPose(0, 0)) is None
     assert buf.captures == []
 
 
 def test_capture_threshold_is_inclusive():
-    ring = full_ring()
+    recent = recent_audio()
     buf = EvidenceBuffer()
     below = peaked_posterior(CAPTURE_THRESHOLD - 0.01)
     at = peaked_posterior(CAPTURE_THRESHOLD)
-    assert buf.maybe_capture(0.0, below, ring, HeadPose(0, 0)) is None
-    cap = buf.maybe_capture(0.0, at, ring, HeadPose(0, 0))
+    assert buf.maybe_capture(0.0, below, recent, HeadPose(0, 0)) is None
+    cap = buf.maybe_capture(0.0, at, recent, HeadPose(0, 0))
     assert cap is not None
     assert cap.posterior_peak == pytest.approx(CAPTURE_THRESHOLD)
 
 
 def test_capture_debounce_interval():
-    ring = full_ring()
+    recent = recent_audio()
     buf = EvidenceBuffer()
     post = peaked_posterior(0.5)
     pose = HeadPose(10.0, -5.0)
-    assert buf.maybe_capture(0.0, post, ring, pose) is not None
-    assert buf.maybe_capture(CAPTURE_DEBOUNCE_S - 0.1, post, ring, pose) is None
-    assert buf.maybe_capture(CAPTURE_DEBOUNCE_S, post, ring, pose) is not None
+    assert buf.maybe_capture(0.0, post, recent, pose) is not None
+    assert buf.maybe_capture(CAPTURE_DEBOUNCE_S - 0.1, post, recent, pose) is None
+    assert buf.maybe_capture(CAPTURE_DEBOUNCE_S, post, recent, pose) is not None
     assert len(buf.captures) == 2
 
 
 def test_capture_records_pose_and_ring_contents():
-    ring = full_ring(seed=5)
-    expected_left, expected_right = ring.snapshot()
+    recent = recent_audio(EVIDENCE_WINDOW_SAMPLES + 100, seed=5)
+    expected = recent[:, -EVIDENCE_WINDOW_SAMPLES:].copy()
     buf = EvidenceBuffer()
-    cap = buf.maybe_capture(1.5, peaked_posterior(0.5), ring, HeadPose(25.0, 10.0))
+    cap = buf.maybe_capture(1.5, peaked_posterior(0.5), recent, HeadPose(25.0, 10.0))
     assert cap.pan_deg == 25.0 and cap.tilt_deg == 10.0 and cap.time_s == 1.5
-    assert np.array_equal(cap.left, expected_left)
-    assert np.array_equal(cap.right, expected_right)
-    # Later pushes must not mutate the stored snapshot.
-    ring.push(np.zeros(16), np.zeros(16))
-    assert np.array_equal(cap.left, expected_left)
+    assert np.array_equal(cap.left, expected[0])
+    assert np.array_equal(cap.right, expected[1])
+    # Later writes to the episode's array must not reach the stored snapshot.
+    recent[:] = 0.0
+    assert np.array_equal(cap.left, expected[0])
+    assert np.array_equal(cap.right, expected[1])
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +114,9 @@ def test_labeled_record_validation():
 
 
 def test_label_on_fixation_relative_pose_labels():
-    ring = full_ring(EVIDENCE_WINDOW_SAMPLES, seed=3)
     buf = EvidenceBuffer()
-    cap = buf.maybe_capture(0.0, peaked_posterior(0.5), ring, HeadPose(10.0, 5.0))
+    cap = buf.maybe_capture(0.0, peaked_posterior(0.5), recent_audio(seed=3),
+                            HeadPose(10.0, 5.0))
     records = label_on_fixation([cap], HeadPose(25.0, 10.0), episode_id=7)
     assert len(records) == 1
     rec = records[0]
@@ -367,6 +294,21 @@ def test_read_rejects_out_of_range_label(tmp_path):
         lines[1]["azimuth_deg"] = 200.0
     with pytest.raises(FormatError):
         read_dataset(_corrupt(tmp_path, mutate))
+
+
+def test_read_rejects_numbers_too_large_for_a_float(tmp_path):
+    def mutate(lines):
+        lines[1]["features"][0] = 10**400
+    with pytest.raises(FormatError):
+        read_dataset(_corrupt(tmp_path, mutate))
+
+
+def test_read_rejects_bytes_that_are_not_utf8(tmp_path):
+    path = tmp_path / "binary.jsonl"
+    write_dataset(path, sample_records(1))
+    path.write_bytes(b"\x80" + path.read_bytes())
+    with pytest.raises(FormatError):
+        read_dataset(path)
 
 
 # ---------------------------------------------------------------------------
