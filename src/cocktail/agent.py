@@ -113,10 +113,6 @@ class AgentConfig:
         return 0.1 if self.fast else frontend.FRAME_S
 
     @property
-    def hop_s(self) -> float:
-        return frontend.HOP_S
-
-    @property
     def corr_window_n(self) -> int:
         return 50 if self.fast else 100
 
@@ -219,7 +215,6 @@ def q_update(
     reward_value: float,
     next_state: int,
     terminal: bool,
-    learning_rate: float = LEARNING_RATE,
 ) -> float:
     """One Q-learning backup; returns the updated entry.
 
@@ -231,7 +226,7 @@ def q_update(
     target = reward_value
     if not terminal:
         target += DISCOUNT * float(np.max(q[next_state]))
-    q[state, action] += learning_rate * (target - q[state, action])
+    q[state, action] += LEARNING_RATE * (target - q[state, action])
     qtable.visit_counts[state, action] += 1
     return float(q[state, action])
 
@@ -305,7 +300,7 @@ def run_episode(
     speaker = scene.speakers[0]
     fs = SAMPLE_RATE
 
-    tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s, config.hop_s)
+    tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s)
     evidence = EvidenceBuffer()
     recent = np.zeros((2, 0))
     env = np.zeros((2, 0))

@@ -30,12 +30,8 @@ from scipy.special import betainc
 
 from .errors import ContractViolationError, DegenerateDataError, DomainError
 
-#: Default significance level for the correlation gate in :func:`reward`.
+#: Significance level for the correlation gate in :func:`reward`.
 ALPHA = 0.05
-
-#: Default correlation window length in resampled envelope samples.  At the
-#: 10 Hz mouth rate this spans 10 seconds of signal.
-WINDOW_N = 100
 
 
 # ---------------------------------------------------------------------------
@@ -133,15 +129,24 @@ def pearson(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
         raise DegenerateDataError(
             "correlation undefined: at least one series is constant"
         )
-    dx = ax - ax.mean()
-    dy = ay - ay.mean()
-    ssx = float(np.dot(dx, dx))
-    ssy = float(np.dot(dy, dy))
+    # Finite samples can still overflow the means or the sums of products;
+    # an infinite sum would silently give a wrong r.
+    with np.errstate(over="ignore", invalid="ignore"):
+        mx, my = ax.mean(), ay.mean()
+        dx, dy = ax - mx, ay - my
+        ssx, ssy = float(np.dot(dx, dx)), float(np.dot(dy, dy))
+        sxy = float(np.dot(dx, dy))
+    if not all(map(math.isfinite, (mx, my, ssx, ssy, sxy))):
+        raise DomainError("correlation inputs are too large: their sums overflow a float")
     if ssx == 0.0 or ssy == 0.0:
         raise DegenerateDataError(
             "correlation undefined: at least one series is constant"
         )
-    r = float(np.dot(dx, dy)) / math.sqrt(ssx * ssy)
+    den = math.sqrt(ssx * ssy)
+    if den == 0.0 or math.isinf(den):
+        # The product under- or overflowed where the factors do not.
+        den = math.sqrt(ssx) * math.sqrt(ssy)
+    r = sxy / den
     # Floating-point round-off can push |r| marginally past 1.
     r = max(-1.0, min(1.0, r))
     if abs(r) == 1.0:
@@ -185,7 +190,7 @@ def correlate_min_p(
     env1: np.ndarray,
     env2: np.ndarray,
     mouth: np.ndarray,
-    window_n: int = WINDOW_N,
+    window_n: int,
 ) -> list[CorrelationResult | None]:
     """Windowed correlation of two envelopes against one mouth signal.
 
@@ -259,25 +264,22 @@ class RewardBreakdown:
 def reward(
     face_fixated: bool,
     corr: CorrelationResult | None = None,
-    alpha: float = ALPHA,
 ) -> RewardBreakdown:
     """Combine fixation and synchrony evidence into the step reward.
 
     ``r_face`` is 1 when a face is fixated and 0 otherwise.  ``r_corr`` is
     the positive part of the correlation coefficient, but only when the
-    correlation is statistically significant (``p < alpha``); insignificant
+    correlation is statistically significant (``p < ALPHA``); insignificant
     or negative correlations contribute nothing.  Correlation evidence is
     only meaningful while fixated, so passing ``corr`` without fixation is a
     caller bug and raises :class:`ContractViolationError`.
     """
-    if not 0.0 < alpha < 1.0:
-        raise DomainError(f"alpha must be in (0, 1), got {alpha}")
     if corr is not None and not face_fixated:
         raise ContractViolationError(
             "correlation evidence supplied without face fixation"
         )
     r_face = 1.0 if face_fixated else 0.0
     r_corr = 0.0
-    if corr is not None and corr.p < alpha:
+    if corr is not None and corr.p < ALPHA:
         r_corr = max(0.0, corr.r)
     return RewardBreakdown(r_face=r_face, r_corr=r_corr)

@@ -18,7 +18,7 @@ Subcommands
 
 Every subcommand accepts ``--seed`` (default: ``$COCKTAIL_SEED`` or 42) and
 ``--out-dir`` and is fully deterministic for a fixed seed.  Exit codes: 0
-success, 2 input error, 3 degenerate data, 4 internal invariant violation.
+success, 2 input error, 3 degenerate data, 4 internal contract violation.
 
 Scene configuration files are JSON documents::
 
@@ -64,7 +64,6 @@ from .errors import (
     DomainError,
     FormatError,
     InputError,
-    InvariantError,
     ParseError,
 )
 from .scene import (
@@ -807,7 +806,7 @@ def main(argv=None) -> int:
     except DegenerateDataError as exc:
         print(f"error: degenerate data: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE_DATA
-    except (ContractViolationError, InvariantError) as exc:
+    except ContractViolationError as exc:
         print(f"error: internal: {exc}", file=sys.stderr)
         return EXIT_INTERNAL_ERROR
 

@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all cocktail modules.
 
 The command line maps these onto process exit codes: input problems exit
-with 2, degenerate data with 3, and internal contract violations with 4.
+with 2, degenerate data with 3, and internal contract violations
+(:class:`ContractViolationError`) with 4.
 """
 
 EXIT_OK = 0
@@ -42,7 +43,3 @@ class DegenerateDataError(CocktailError):
 
 class ContractViolationError(CocktailError):
     """Caller combined arguments in a way the API forbids."""
-
-
-class InvariantError(CocktailError):
-    """An internal invariant failed; indicates a bug, not bad input."""

@@ -54,10 +54,9 @@ def _validate_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.
     return l, r
 
 
-def gcc_features(
-    left: np.ndarray, right: np.ndarray, max_lag: int = MAX_LAG_SAMPLES
-) -> np.ndarray:
-    """Energy-normalized cross-correlation at integer lags ``-max_lag..+max_lag``.
+def gcc_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Energy-normalized cross-correlation at integer lags ``-MAX_LAG_SAMPLES
+    .. +MAX_LAG_SAMPLES``.
 
     Returns ``c[k] = sum_n left[n + k] * right[n] / sqrt(E_l * E_r)`` where
     ``E_l, E_r`` are the channel energies, ordered from the most negative lag
@@ -66,23 +65,19 @@ def gcc_features(
     side.  If either channel is silent the correlation is all zeros.
     """
     l, r = _validate_pair(left, right)
-    if max_lag < 1:
-        raise DomainError(f"max_lag must be >= 1, got {max_lag}")
     n = l.size
-    if n <= max_lag:
-        raise DomainError(
-            f"need more than max_lag={max_lag} samples, got {n}"
-        )
+    if n <= MAX_LAG_SAMPLES:
+        raise DomainError(f"need more than {MAX_LAG_SAMPLES} samples, got {n}")
     energy = float(np.dot(l, l)) * float(np.dot(r, r))
     if energy == 0.0:
-        return np.zeros(2 * max_lag + 1)
-    # Linear cross-correlation via FFT.  Padding the left channel by max_lag
-    # zeros shifts the lag origin so the first 2*max_lag + 1 output samples
-    # are exactly c[-max_lag] .. c[+max_lag].
-    m = sfft.next_fast_len(n + 2 * max_lag + 8)
-    fl = sfft.rfft(np.concatenate([np.zeros(max_lag), l]), m)
+        return np.zeros(NUM_GCC_LAGS)
+    # Linear cross-correlation via FFT.  Padding the left channel by
+    # MAX_LAG_SAMPLES zeros shifts the lag origin so the first NUM_GCC_LAGS
+    # output samples are exactly c[-MAX_LAG_SAMPLES] .. c[+MAX_LAG_SAMPLES].
+    m = sfft.next_fast_len(n + 2 * MAX_LAG_SAMPLES + 8)
+    fl = sfft.rfft(np.concatenate([np.zeros(MAX_LAG_SAMPLES), l]), m)
     fr = sfft.rfft(r, m)
-    cc = sfft.irfft(fl * np.conj(fr), m)[: 2 * max_lag + 1]
+    cc = sfft.irfft(fl * np.conj(fr), m)[:NUM_GCC_LAGS]
     return cc / np.sqrt(energy)
 
 

@@ -47,9 +47,13 @@ NUM_BANDS = 32
 FREQ_LO_HZ = 100.0
 FREQ_HI_HZ = 8000.0
 
-AZIMUTH_BINS = tuple(range(-90, 91, 5))  # 37 bins at 5 degree pitch
+#: The one azimuth grid: 37 bin centers (degrees) at 5 degree pitch, read by
+#: the beamformers, the posterior and the location estimate.
+AZIMUTH_BINS = np.arange(-90.0, 91.0, 5.0)
+AZIMUTH_BINS.flags.writeable = False
 FRAME_S = 0.2
 HOP_S = 0.1
+_HOP = int(round(HOP_S * SAMPLE_RATE))
 DECAY_LAMBDA = 0.9
 TEMPERATURE_TAU = 0.2
 
@@ -57,17 +61,18 @@ _EAR_Q = 9.26449
 _MIN_BW = 24.7
 
 
-def erb_space(low, high, n):
+def erb_space(n):
     """``n`` center frequencies equally spaced on the ERB scale, ascending.
 
     Uses the Glasberg-Moore ERB parameters (EarQ 9.26449, minBW 24.7). The
-    lowest frequency equals ``low``; the highest stays below ``high``.
+    lowest frequency equals ``FREQ_LO_HZ``; the highest stays below
+    ``FREQ_HI_HZ``.
     """
 
     qb = _EAR_Q * _MIN_BW
     cf = -qb + np.exp(
-        np.arange(1, n + 1) * (-np.log(high + qb) + np.log(low + qb)) / n
-    ) * (high + qb)
+        np.arange(1, n + 1) * (-np.log(FREQ_HI_HZ + qb) + np.log(FREQ_LO_HZ + qb)) / n
+    ) * (FREQ_HI_HZ + qb)
     return cf[::-1].copy()
 
 
@@ -133,62 +138,31 @@ class GammatoneBank:
 @lru_cache(maxsize=8)
 def make_gammatone_bank(num_bands=NUM_BANDS):
     """Design (and cache) a gammatone bank over 100 Hz .. 8 kHz."""
-    cf = erb_space(FREQ_LO_HZ, FREQ_HI_HZ, num_bands)
+    cf = erb_space(num_bands)
     return GammatoneBank(center_freqs=cf, sos=_slaney_sos(cf))
 
 
-def gammatone_analyze(x, bank=None):
-    """Decompose a channel into per-band signals, shape ``(num_bands, len(x))``.
-
-    Filtering is causal and deterministic; linearity and band-energy
-    concentration at each center frequency are covered by the test suite.
-    """
-
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or len(x) == 0:
-        raise DomainError("gammatone_analyze needs a nonempty 1-D signal")
-    if bank is None:
-        bank = make_gammatone_bank()
-    return np.stack([sosfilt(bank.sos[b], x) for b in range(bank.num_bands)])
-
-
 class GammatoneStream:
-    """Chunk-wise gammatone analysis that carries filter state between calls.
+    """Chunk-wise stereo gammatone analysis that carries filter state between
+    calls.
 
-    Feeding a signal through :meth:`process` in pieces produces exactly the
-    same band signals as one :func:`gammatone_analyze` call on the
-    concatenation, which lets the agent analyze audio step by step without
-    re-filtering history.  With ``channels > 1`` the stream filters that
-    many parallel signals per call (e.g. a stereo pair) in one batched pass
-    per band.
+    Feeding a ``(2, n)`` signal through :meth:`process` in pieces produces
+    exactly the band signals of filtering each whole channel at once, which
+    lets the agent analyze audio step by step without re-filtering history.
+    Both channels go through each band in one batched pass.
     """
 
-    def __init__(self, bank=None, channels=1):
-        if channels < 1:
-            raise DomainError(f"channels must be >= 1, got {channels}")
-        self.bank = bank if bank is not None else make_gammatone_bank()
-        self.channels = channels
+    def __init__(self, bank):
+        self.bank = bank
         # State layout (bands, channels, sections, 2) matches the low-level
         # filter kernel; the public-API fallback transposes as needed.
-        self._zi = np.zeros(
-            (self.bank.num_bands, channels, self.bank.sos.shape[1], 2)
-        )
+        self._zi = np.zeros((bank.num_bands, 2, bank.sos.shape[1], 2))
 
     def process(self, x):
-        """Filter one chunk; returns ``(num_bands, n)`` for a 1-D mono chunk
-        or ``(num_bands, channels, n)`` for a ``(channels, n)`` chunk."""
+        """Filter one ``(2, n)`` chunk; returns ``(num_bands, 2, n)``."""
         x = np.asarray(x, dtype=np.float64)
-        mono = x.ndim == 1
-        if mono:
-            if self.channels != 1:
-                raise DomainError(
-                    f"stream expects {self.channels}-channel chunks, got 1-D"
-                )
-            x = x[None, :]
-        if x.ndim != 2 or x.shape[0] != self.channels or x.shape[1] == 0:
-            raise DomainError(
-                f"chunk must have shape ({self.channels}, n>0), got {x.shape}"
-            )
+        if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0:
+            raise DomainError(f"chunk must have shape (2, n>0), got {x.shape}")
         out = np.empty((self.bank.num_bands,) + x.shape)
         if _sosfilt_kernel is not None:
             for b in range(self.bank.num_bands):
@@ -202,7 +176,7 @@ class GammatoneStream:
                 )
                 out[b] = y
                 self._zi[b] = np.moveaxis(zf, 1, 0)
-        return out[:, 0, :] if mono else out
+        return out
 
 
 @lru_cache(maxsize=32)
@@ -230,45 +204,39 @@ def band_weights(n_rfft):
 
 @dataclass(frozen=True)
 class BeamformerBank:
-    """Delay-and-sum beamformers, one per azimuth bin.
+    """Delay-and-sum beamformers, one per :data:`AZIMUTH_BINS` bin.
 
     ``lags`` holds each bin's ITD in (fractional) samples; ``max_lag`` bounds
     the integer padding needed for the cross-correlation.
     """
 
-    bin_centers: np.ndarray
     lags: np.ndarray
     max_lag: int
 
 
 @lru_cache(maxsize=1)
 def make_beamformer_bank():
-    centers = np.array(AZIMUTH_BINS, dtype=np.float64)
-    lags = np.array([itd_for_azimuth(a) for a in centers]) * SAMPLE_RATE
-    return BeamformerBank(
-        bin_centers=centers,
-        lags=lags,
-        max_lag=int(np.ceil(np.max(np.abs(lags)))) + 2,
-    )
+    lags = np.array([itd_for_azimuth(a) for a in AZIMUTH_BINS]) * SAMPLE_RATE
+    return BeamformerBank(lags=lags, max_lag=int(np.ceil(np.max(np.abs(lags)))) + 2)
 
 
-def beamform_salience(left_bands, right_bands, frame_s=FRAME_S, hop_s=HOP_S):
+def beamform_salience(bands, frame_s):
     """Per-frame azimuth salience from delay-and-sum beamformer energies.
 
-    For every frame and azimuth bin, the left bands are delayed by the bin's
-    ITD (linear interpolation for fractional lags) and summed with the right
-    bands; the total energy across bands, normalized to the frame maximum,
-    is the salience. Silent frames yield all-zero rows. Returns an array of
-    shape ``(n_frames, 37)``.
+    ``bands`` holds stereo band signals, shape ``(num_bands, 2, n)`` as
+    :meth:`GammatoneStream.process` returns them.  For every ``frame_s``
+    frame (at ``HOP_S`` spacing) and azimuth bin, the left bands are delayed
+    by the bin's ITD (linear interpolation for fractional lags) and summed
+    with the right bands; the total energy across bands, normalized to the
+    frame maximum, is the salience. Silent frames yield all-zero rows.
+    Returns an array of shape ``(n_frames, 37)``.
     """
 
-    left_bands = np.atleast_2d(np.asarray(left_bands, dtype=np.float64))
-    right_bands = np.atleast_2d(np.asarray(right_bands, dtype=np.float64))
-    if left_bands.shape != right_bands.shape:
-        raise DomainError("left/right band sets must have equal shapes")
-    nb, n = left_bands.shape
+    bands = np.asarray(bands, dtype=np.float64)
+    if bands.ndim != 3 or bands.shape[1] != 2:
+        raise DomainError(f"bands must have shape (num_bands, 2, n), got {bands.shape}")
+    nb, _, n = bands.shape
     frame = int(round(frame_s * SAMPLE_RATE))
-    hop = int(round(hop_s * SAMPLE_RATE))
     if frame > n:
         raise DomainError("frame longer than signal")
 
@@ -279,7 +247,7 @@ def beamform_salience(left_bands, right_bands, frame_s=FRAME_S, hop_s=HOP_S):
     il, ir = np.floor(dl).astype(int), np.floor(dr).astype(int)
     wl, wr = dl - il, dr - ir
 
-    starts = np.arange(0, n - frame + 1, hop)
+    starts = np.arange(0, n - frame + 1, _HOP)
     # The FFT correlation is only read at lag indices 0 .. 2k + 3; an FFT
     # length of frame + 2k + 4 keeps every read free of circular aliasing
     # (the wrapped tail of the correlation stays beyond the read range).
@@ -289,10 +257,10 @@ def beamform_salience(left_bands, right_bands, frame_s=FRAME_S, hop_s=HOP_S):
     # spans, so the zero padding around them is laid down once per call.
     k0 = k + 1
     stacked = np.zeros((2 * nb, m))
-    salience = np.zeros((len(starts), len(bank.bin_centers)))
+    salience = np.zeros((len(starts), len(AZIMUTH_BINS)))
     for fi, s0 in enumerate(starts):
-        lf = left_bands[:, s0 : s0 + frame]
-        rf = right_bands[:, s0 : s0 + frame]
+        lf = bands[:, 0, s0 : s0 + frame]
+        rf = bands[:, 1, s0 : s0 + frame]
 
         # Full-overlap sums of the interpolated shifted squares: independent of
         # the integer part of the shift, they need only the frame energy and
@@ -340,28 +308,26 @@ def beamform_salience(left_bands, right_bands, frame_s=FRAME_S, hop_s=HOP_S):
 
 @dataclass(frozen=True)
 class AzimuthPosterior:
-    """Normalized probability vector over the 37 azimuth bins."""
+    """Normalized probability vector over the 37 :data:`AZIMUTH_BINS`."""
 
     probs: np.ndarray
-    bin_centers: np.ndarray
 
     def __post_init__(self):
         probs = np.asarray(self.probs, dtype=np.float64)
         object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "bin_centers", np.asarray(self.bin_centers, dtype=np.float64))
-        if probs.shape != self.bin_centers.shape:
-            raise DomainError("probs and bin_centers must align")
+        if probs.shape != AZIMUTH_BINS.shape:
+            raise DomainError(f"posterior needs {len(AZIMUTH_BINS)} bins, got shape {probs.shape}")
         if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
             raise DomainError("posterior must be a normalized probability vector")
 
 
 def uniform_posterior():
-    centers = np.array(AZIMUTH_BINS, dtype=np.float64)
-    return AzimuthPosterior(np.full(len(centers), 1.0 / len(centers)), centers)
+    return AzimuthPosterior(np.full(len(AZIMUTH_BINS), 1.0 / len(AZIMUTH_BINS)))
 
 
-def update_posterior(prior, salience, decay=DECAY_LAMBDA, temperature=TEMPERATURE_TAU):
-    """One sequential Bayes step: ``posterior ~ prior^decay * softmax(s/tau)``.
+def update_posterior(prior, salience):
+    """One sequential Bayes step: ``posterior ~ prior^DECAY_LAMBDA *
+    softmax(s / TEMPERATURE_TAU)``.
 
     The decay exponent forgets stale evidence so the map can track a moving
     or switching source; all-zero salience (silence) contributes a uniform
@@ -374,14 +340,14 @@ def update_posterior(prior, salience, decay=DECAY_LAMBDA, temperature=TEMPERATUR
     if np.any(salience < 0) or np.any(salience > 1):
         raise DomainError("salience entries must lie in [0, 1]")
     if salience.max() > 0:
-        logits = (salience - salience.max()) / temperature
+        logits = (salience - salience.max()) / TEMPERATURE_TAU
         likelihood = np.exp(logits)
         likelihood /= likelihood.sum()
     else:
         likelihood = np.full_like(salience, 1.0 / len(salience))
-    post = prior.probs**decay * likelihood
+    post = prior.probs**DECAY_LAMBDA * likelihood
     post /= post.sum()
-    return AzimuthPosterior(post, prior.bin_centers)
+    return AzimuthPosterior(post)
 
 
 def estimate_location(posterior):
@@ -394,8 +360,8 @@ def estimate_location(posterior):
     probs = posterior.probs
     peak = probs.max()
     candidates = np.flatnonzero(probs == peak)
-    best = min(candidates, key=lambda i: (abs(posterior.bin_centers[i]), i))
-    return float(posterior.bin_centers[best])
+    best = min(candidates, key=lambda i: (abs(AZIMUTH_BINS[i]), i))
+    return float(AZIMUTH_BINS[best])
 
 
 # ---------------------------------------------------------------------------
@@ -406,42 +372,35 @@ def estimate_location(posterior):
 class AzimuthTracker:
     """Listen to a stereo stream and keep the azimuth posterior up to date.
 
-    Each :meth:`feed` runs the chunk through a stereo :class:`GammatoneStream`,
-    beamforms every ``frame_s`` frame (at ``hop_s`` spacing) that the band
-    buffers now hold in one batched :func:`beamform_salience` call, and folds
+    Each :meth:`feed` runs the chunk through a :class:`GammatoneStream`,
+    beamforms every ``frame_s`` frame (at ``HOP_S`` spacing) that the band
+    buffer now holds in one batched :func:`beamform_salience` call, and folds
     the rows into the posterior in order.  Only the band samples the next
-    frame still needs are kept, so the buffers stay shorter than one frame.
+    frame still needs are kept, so the buffer stays shorter than one frame.
     Feeding a signal in any chunking gives the same posterior as one feed of
     the whole signal.
     """
 
-    def __init__(self, num_bands=NUM_BANDS, frame_s=FRAME_S, hop_s=HOP_S):
-        if not 0 < hop_s <= frame_s:
-            raise DomainError(f"need 0 < hop_s <= frame_s, got {hop_s}, {frame_s}")
-        self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands), channels=2)
+    def __init__(self, num_bands=NUM_BANDS, frame_s=FRAME_S):
+        if not frame_s >= HOP_S:
+            raise DomainError(f"frame_s must be at least the {HOP_S} s hop, got {frame_s}")
+        self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands))
         self.frame_s = frame_s
-        self.hop_s = hop_s
         self._frame = int(round(frame_s * SAMPLE_RATE))
-        self._hop = int(round(hop_s * SAMPLE_RATE))
-        self._left = np.zeros((num_bands, 0))
-        self._right = np.zeros((num_bands, 0))
+        self._bands = np.zeros((num_bands, 2, 0))
         self.posterior = uniform_posterior()
 
     def feed(self, stereo):
         """Analyze a ``(2, n)`` chunk; returns the updated posterior."""
-        bands = self.stream.process(stereo)
-        left = np.concatenate([self._left, bands[:, 0]], axis=1)
-        right = np.concatenate([self._right, bands[:, 1]], axis=1)
-        # Release the filter output before beamforming.  At full-fidelity
-        # sizes (32 bands, 0.5 s chunks) keeping it alive lifts each call's
-        # peak scratch memory enough that the allocator hands the heap back
-        # to the system, and every call then faults in fresh pages.
-        del bands
-        if left.shape[1] >= self._frame:
-            salience = beamform_salience(left, right, frame_s=self.frame_s, hop_s=self.hop_s)
+        # The filter output is a temporary, released before beamforming.  At
+        # full-fidelity sizes (32 bands, 0.5 s chunks) keeping it alive lifts
+        # each call's peak scratch memory enough that the allocator hands the
+        # heap back to the system, and every call then faults in fresh pages.
+        bands = np.concatenate([self._bands, self.stream.process(stereo)], axis=2)
+        if bands.shape[2] >= self._frame:
+            salience = beamform_salience(bands, self.frame_s)
             for row in salience:
                 self.posterior = update_posterior(self.posterior, row)
-            left = left[:, len(salience) * self._hop :]
-            right = right[:, len(salience) * self._hop :]
-        self._left, self._right = left, right
+            bands = bands[:, :, len(salience) * _HOP :]
+        self._bands = bands
         return self.posterior

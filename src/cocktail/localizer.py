@@ -154,14 +154,6 @@ def new_localizer(seed: int = 0) -> MLPLocalizer:
     )
 
 
-def zero_localizer() -> MLPLocalizer:
-    """All-zero weights: both heads emit exactly uniform distributions."""
-    model = new_localizer()
-    for _, arr in model.parameters():
-        arr[:] = 0.0
-    return model
-
-
 # ---------------------------------------------------------------------------
 # Forward, loss, gradients
 

@@ -406,7 +406,7 @@ def observe_visual(scene, pose):
     return tuple(visible)
 
 
-def mouth_area_signal(speaker, schedule, t0, duration, seed=0, jitter=True):
+def mouth_area_signal(speaker, schedule, t0, duration, seed=0):
     """Sampled mouth-area measurement for one speaker at 10 Hz.
 
     While the speaker is active the area follows
@@ -427,19 +427,17 @@ def mouth_area_signal(speaker, schedule, t0, duration, seed=0, jitter=True):
         if sid == speaker.id:
             active |= (times >= start) & (times < end)
     areas = speaker.mouth_baseline + speaker.mouth_gain * env * active
-    if jitter:
-        # Jitter uses its own 10-sample blocks at the mouth rate so that
-        # per-step calls reproduce the same stream as one long call.
-        k0 = int(round(t0 * MOUTH_RATE_HZ))
-        noise = _stream(
-            (int(seed), _STREAM_JITTER, int(speaker.id)),
-            k0,
-            k0 + n,
-            lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK),
-            block=_JITTER_BLOCK,
-        )
-        areas = areas + 0.05 * speaker.mouth_gain * noise
-    return times, areas
+    # Jitter uses its own 10-sample blocks at the mouth rate so that per-step
+    # calls reproduce the same stream as one long call.
+    k0 = int(round(t0 * MOUTH_RATE_HZ))
+    noise = _stream(
+        (int(seed), _STREAM_JITTER, int(speaker.id)),
+        k0,
+        k0 + n,
+        lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK),
+        block=_JITTER_BLOCK,
+    )
+    return times, areas + 0.05 * speaker.mouth_gain * noise
 
 
 def step_head(pose, action):

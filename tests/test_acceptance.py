@@ -353,7 +353,7 @@ def test_criterion_8_dataset_labels_within_15_degrees(trained_rl):
 
 
 def test_criterion_9_localizer_accuracy_gradients_and_uniform_loss(
-    harvested_records,
+    harvested_records, zero_model,
 ):
     records, _ = harvested_records
     assert len(records) >= 2000
@@ -396,9 +396,7 @@ def test_criterion_9_localizer_accuracy_gradients_and_uniform_loss(
     assert worst < 1e-4, f"gradient check max relative error {worst:.2e}"
 
     # A zeroed network scores both heads uniformly.
-    uniform = localizer.loss(
-        localizer.zero_localizer(), x, az, el
-    )
+    uniform = localizer.loss(zero_model, x, az, el)
     assert abs(uniform - (math.log(65.0) + math.log(25.0))) < 1e-9
 
     assert time.perf_counter() - t0 < 300.0

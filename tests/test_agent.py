@@ -171,10 +171,11 @@ def test_q_update_terminal_value():
     assert q_update(qt, 0, 0, 1.48, 1, terminal=True) == pytest.approx(0.148)
 
 
-def test_q_update_zero_learning_rate_is_identity():
+def test_q_update_zero_learning_rate_is_identity(monkeypatch):
+    monkeypatch.setattr(ag, "LEARNING_RATE", 0.0)
     qt = new_qtable()
     qt.values[:] = 0.5
-    q_update(qt, 2, 2, 3.0, 3, terminal=False, learning_rate=0.0)
+    q_update(qt, 2, 2, 3.0, 3, terminal=False)
     assert np.all(qt.values == 0.5)
 
 

@@ -9,6 +9,7 @@ import scipy.signal
 import scipy.stats
 
 from cocktail.avsync import (
+    ALPHA,
     CorrelationResult,
     RewardBreakdown,
     analytic_envelope,
@@ -246,6 +247,24 @@ class TestPearson:
         with pytest.raises(DegenerateDataError):
             pearson([1.0, 2.0, 3.0], [5.0, 5.0, 5.0])
 
+    def test_sums_that_overflow_a_float_raise(self):
+        # Finite samples whose mean and squared deviations exceed the float
+        # range: an infinite sum of squares used to give r = 0 or r = 1.
+        x = np.linspace(0.0, 1.0, 50)
+        y = 5e307 * (0.5 + 0.5 * np.sin(np.arange(50)))
+        for a, b in ((x, y), (y, x), (y, y[::-1])):
+            with pytest.raises(DomainError, match="overflow"):
+                pearson(a, b)
+
+    def test_scale_does_not_change_r_when_only_the_product_of_sums_leaves_the_float_range(self):
+        rng = np.random.default_rng(17)
+        x, y = rng.standard_normal(40), rng.standard_normal(40)
+        r, p = pearson(x, y)
+        for gx, gy in ((1e100, 1e60), (1e-100, 1e-90)):
+            r_scaled, p_scaled = pearson(gx * x, gy * y)
+            assert r_scaled == pytest.approx(r, abs=1e-12)
+            assert p_scaled == pytest.approx(p, abs=1e-10)
+
     def test_rejects_bad_shapes(self):
         with pytest.raises(DomainError):
             pearson([1.0, 2.0], [1.0, 2.0])
@@ -268,15 +287,15 @@ class TestCorrelateMinP:
         # 120 s at 10 Hz with 10 s windows: exactly 12 full windows.
         z = np.zeros(1200)
         r = np.random.default_rng(29).standard_normal(1200)
-        assert len(correlate_min_p(r, r + 1.0, r)) == 12
-        assert len(correlate_min_p(z[:250], r[:250], r[:250])) == 2
+        assert len(correlate_min_p(r, r + 1.0, r, window_n=100)) == 12
+        assert len(correlate_min_p(z[:250], r[:250], r[:250], window_n=100)) == 2
 
     def test_matched_channel_wins(self):
         rng = np.random.default_rng(31)
         mouth = rng.random(300)
         env1 = _noisy(2.0 * mouth + 1.0, rng, 0.01)
         env2 = rng.random(300)
-        results = correlate_min_p(env1, env2, mouth)
+        results = correlate_min_p(env1, env2, mouth, window_n=100)
         assert len(results) == 3
         for res in results:
             assert res is not None
@@ -290,20 +309,20 @@ class TestCorrelateMinP:
         mouth = rng.random(300)
         env1 = rng.random(300)
         env2 = _noisy(2.0 * mouth + 1.0, rng, 0.01)
-        results = correlate_min_p(env1, env2, mouth)
+        results = correlate_min_p(env1, env2, mouth, window_n=100)
         assert all(res is not None and res.channel == 2 for res in results)
 
     def test_exact_tie_prefers_channel_one(self):
         rng = np.random.default_rng(41)
         mouth = rng.random(200)
         env = _noisy(mouth, rng, 0.1)
-        results = correlate_min_p(env, env.copy(), mouth)
+        results = correlate_min_p(env, env.copy(), mouth, window_n=100)
         assert all(res is not None and res.channel == 1 for res in results)
 
     def test_constant_mouth_skips_all_windows(self):
         rng = np.random.default_rng(43)
         results = correlate_min_p(
-            rng.random(200), rng.random(200), np.full(200, 0.5)
+            rng.random(200), rng.random(200), np.full(200, 0.5), window_n=100
         )
         assert results == [None, None]
 
@@ -311,7 +330,7 @@ class TestCorrelateMinP:
         rng = np.random.default_rng(47)
         mouth = rng.random(100)
         env2 = _noisy(mouth, rng, 0.05)
-        results = correlate_min_p(np.full(100, 1.0), env2, mouth)
+        results = correlate_min_p(np.full(100, 1.0), env2, mouth, window_n=100)
         assert len(results) == 1
         assert results[0] is not None
         assert results[0].channel == 2
@@ -321,7 +340,7 @@ class TestCorrelateMinP:
         mouth = rng.random(300)
         mouth[100:200] = 0.4  # second window constant -> skipped
         env = _noisy(mouth, rng, 0.05)
-        results = correlate_min_p(env, rng.random(300), mouth)
+        results = correlate_min_p(env, rng.random(300), mouth, window_n=100)
         assert results[0] is not None
         assert results[1] is None
         assert results[2] is not None
@@ -337,7 +356,7 @@ class TestCorrelateMinP:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(DomainError):
-            correlate_min_p(np.zeros(10), np.zeros(11), np.zeros(10))
+            correlate_min_p(np.zeros(10), np.zeros(11), np.zeros(10), window_n=5)
         with pytest.raises(DomainError):
             correlate_min_p(np.zeros(10), np.zeros(10), np.zeros(10), window_n=2)
 
@@ -374,9 +393,10 @@ class TestReward:
         assert out.total == 1.0
 
     def test_alpha_threshold_is_strict(self):
-        corr = CorrelationResult(r=0.5, p=0.05, channel=1, n=100)
-        assert reward(True, corr, alpha=0.05).total == 1.0
-        assert reward(True, corr, alpha=0.051).total == pytest.approx(1.5)
+        at_alpha = CorrelationResult(r=0.5, p=ALPHA, channel=1, n=100)
+        assert reward(True, at_alpha).total == 1.0
+        below = CorrelationResult(r=0.5, p=np.nextafter(ALPHA, 0.0), channel=1, n=100)
+        assert reward(True, below).total == pytest.approx(1.5)
 
     def test_correlation_without_fixation_is_a_bug(self):
         corr = CorrelationResult(r=0.9, p=1e-9, channel=1, n=100)
@@ -396,5 +416,3 @@ class TestReward:
             CorrelationResult(r=0.5, p=-0.1, channel=1, n=100)
         with pytest.raises(DomainError):
             CorrelationResult(r=0.5, p=0.1, channel=3, n=100)
-        with pytest.raises(DomainError):
-            reward(True, None, alpha=1.5)

@@ -524,6 +524,19 @@ class TestAvsync:
         assert code == 3
         assert "degenerate" in err
 
+    def test_mouth_areas_whose_sums_overflow_exit_2(self, sim_dir, tmp_path, capsys):
+        mouth = tmp_path / "huge.csv"
+        areas = 5e307 * (0.5 + 0.5 * np.sin(np.arange(60)))
+        cli.write_mouth_csv(mouth, np.arange(60) / 10.0, areas)
+        code, _, err = run_cli(
+            ["avsync", "--wav", str(sim_dir / "audio.wav"),
+             "--mouth", str(mouth), "--window-s", "2",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "overflow" in err
+
 
 # ---------------------------------------------------------------------------
 # turn-taking

@@ -34,7 +34,7 @@ FAST = AgentConfig(fast=True)
 def peaked_posterior(peak):
     probs = np.full(len(AZIMUTH_BINS), (1.0 - peak) / (len(AZIMUTH_BINS) - 1))
     probs[18] = peak
-    return AzimuthPosterior(probs, np.array(AZIMUTH_BINS, dtype=np.float64))
+    return AzimuthPosterior(probs)
 
 
 def recent_audio(n=EVIDENCE_WINDOW_SAMPLES, seed=0):

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.signal import sosfilt
 
 from cocktail import frontend as fe
 from cocktail import scene as sc
 from cocktail.errors import DomainError
+
+
+def gammatone_analyze(x, bank):
+    """Oracle for :class:`fe.GammatoneStream`: one whole-signal ``sosfilt``
+    call per band on a 1-D channel, shape ``(num_bands, len(x))``."""
+    return np.stack([sosfilt(bank.sos[b], x) for b in range(bank.num_bands)])
 
 
 def speaker_scene(az, el=0.0, noise=0.0, speech_seed=3):
@@ -22,9 +29,10 @@ def speaker_scene(az, el=0.0, noise=0.0, speech_seed=3):
 
 
 def analyzed_clip(az, duration=0.3, noise=0.05, num_bands=6, seed=7):
+    """Stereo band signals of a rendered clip, shape ``(num_bands, 2, n)``."""
     clip = sc.render_binaural(speaker_scene(az, noise=noise), sc.HeadPose(0, 0), 0.0, duration, seed=seed)
-    bank = fe.make_gammatone_bank(num_bands=num_bands)
-    return fe.gammatone_analyze(clip.left, bank), fe.gammatone_analyze(clip.right, bank)
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands))
+    return stream.process(np.stack([clip.left, clip.right]))
 
 
 # ---------------------------------------------------------------------------
@@ -33,10 +41,10 @@ def analyzed_clip(az, duration=0.3, noise=0.05, num_bands=6, seed=7):
 
 
 def test_erb_space_endpoints_and_ordering():
-    cf = fe.erb_space(100.0, 8000.0, 32)
+    cf = fe.erb_space(32)
     assert len(cf) == 32
-    assert abs(cf[0] - 100.0) < 1e-6
-    assert cf[-1] < 8000.0
+    assert abs(cf[0] - fe.FREQ_LO_HZ) < 1e-6
+    assert cf[-1] < fe.FREQ_HI_HZ
     assert np.all(np.diff(cf) > 0)
     assert np.all(cf < sc.SAMPLE_RATE / 2)
 
@@ -48,22 +56,17 @@ def test_default_bank_has_32_bands():
 
 
 def test_gammatone_zero_input_zero_output():
-    bands = fe.gammatone_analyze(np.zeros(1000))
-    assert bands.shape == (32, 1000)
+    bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(np.zeros((2, 1000)))
+    assert bands.shape == (32, 2, 1000)
     assert not bands.any()
-
-
-def test_gammatone_rejects_empty_input():
-    with pytest.raises(DomainError):
-        fe.gammatone_analyze(np.array([]))
 
 
 def test_gammatone_linearity():
     rng = np.random.default_rng(0)
     x = rng.normal(0, 1, 4000)
     bank = fe.make_gammatone_bank(num_bands=8)
-    a = fe.gammatone_analyze(3.7 * x, bank)
-    b = 3.7 * fe.gammatone_analyze(x, bank)
+    a = gammatone_analyze(3.7 * x, bank)
+    b = 3.7 * gammatone_analyze(x, bank)
     np.testing.assert_allclose(a, b, atol=1e-9)
 
 
@@ -73,7 +76,7 @@ def test_gammatone_energy_concentration_every_band():
     t = np.arange(int(0.25 * sc.SAMPLE_RATE)) / sc.SAMPLE_RATE
     for k, cf in enumerate(bank.center_freqs):
         tone = np.sin(2 * np.pi * cf * t)
-        bands = fe.gammatone_analyze(tone, bank)
+        bands = gammatone_analyze(tone, bank)
         energies = np.sum(bands[:, 2000:] ** 2, axis=1)  # skip onset transient
         assert int(np.argmax(energies)) == k
 
@@ -83,7 +86,7 @@ def test_gammatone_unit_gain_at_center_frequency():
     t = np.arange(int(0.5 * sc.SAMPLE_RATE)) / sc.SAMPLE_RATE
     for k in (0, 15, 31):
         tone = np.sin(2 * np.pi * bank.center_freqs[k] * t)
-        out = fe.gammatone_analyze(tone, bank)[k]
+        out = gammatone_analyze(tone, bank)[k]
         gain = np.sqrt(np.mean(out[8000:] ** 2) / np.mean(tone[8000:] ** 2))
         assert abs(gain - 1.0) < 0.01
 
@@ -95,26 +98,26 @@ def test_gammatone_unit_gain_at_center_frequency():
 
 def test_beamformer_bank_structure():
     bank = fe.make_beamformer_bank()
-    assert len(bank.bin_centers) == 37
-    assert bank.bin_centers[0] == -90 and bank.bin_centers[-1] == 90
-    assert np.all(np.diff(bank.bin_centers) == 5)
+    assert fe.AZIMUTH_BINS.shape == bank.lags.shape == (37,)
+    assert fe.AZIMUTH_BINS[0] == -90 and fe.AZIMUTH_BINS[-1] == 90
+    assert np.all(np.diff(fe.AZIMUTH_BINS) == 5)
     assert np.all(np.diff(bank.lags) > 0)
 
 
-def test_beamform_matches_bruteforce_oracle():
-    """Fast algebraic route equals naive shift-and-sum delay-and-sum."""
-    left, right = analyzed_clip(30.0)
-    fast = fe.beamform_salience(left, right)
-
-    bank = fe.make_beamformer_bank()
-    frame, hop, pad = 9600, 4800, 64
-    starts = np.arange(0, left.shape[1] - frame + 1, hop)
+def bruteforce_salience(bands, frame_s):
+    """Oracle for :func:`fe.beamform_salience`: shift each zero-padded frame
+    of both channels by half the bin's lag (linear interpolation), sum, and
+    square, one band and one bin at a time."""
+    lags = fe.make_beamformer_bank().lags
+    frame = int(round(frame_s * sc.SAMPLE_RATE))
+    hop, pad = int(round(fe.HOP_S * sc.SAMPLE_RATE)), 64
+    starts = np.arange(0, bands.shape[2] - frame + 1, hop)
     naive = np.zeros((len(starts), 37))
     for fi, s0 in enumerate(starts):
         totals = np.zeros(37)
-        for b in range(left.shape[0]):
-            lf = np.pad(left[b, s0 : s0 + frame], (pad, pad))
-            rf = np.pad(right[b, s0 : s0 + frame], (pad, pad))
+        for b in range(bands.shape[0]):
+            lf = np.pad(bands[b, 0, s0 : s0 + frame], (pad, pad))
+            rf = np.pad(bands[b, 1, s0 : s0 + frame], (pad, pad))
             grid = np.arange(len(lf) - 2, dtype=float)
 
             def sample(x, d):
@@ -123,16 +126,59 @@ def test_beamform_matches_bruteforce_oracle():
                 w = pos - np.floor(pos)
                 return (1 - w) * x[i] + w * x[i + 1]
 
-            for bi, lag in enumerate(bank.lags):
+            for bi, lag in enumerate(lags):
                 aligned = sample(lf, lag / 2.0) + sample(rf, -lag / 2.0)
                 totals[bi] += np.sum(aligned**2)
-        naive[fi] = totals / totals.max()
-    np.testing.assert_allclose(fast, naive, atol=1e-10)
+        if totals.max() > 0:
+            naive[fi] = totals / totals.max()
+    return naive
+
+
+def test_beamform_matches_bruteforce_oracle():
+    """Fast algebraic route equals naive shift-and-sum delay-and-sum."""
+    bands = analyzed_clip(30.0)
+    fast = fe.beamform_salience(bands, fe.FRAME_S)
+    np.testing.assert_allclose(fast, bruteforce_salience(bands, fe.FRAME_S), atol=1e-10)
+
+
+def test_beamform_matches_bruteforce_on_generated_signals():
+    """Band counts 1-4, one to three frames of 0.1 or 0.2 s plus a partial
+    hop, random band signals over twelve decades of gain, and silent
+    channels or bands."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=25, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.integers(1, 4),
+        frame_s=st.sampled_from([0.1, 0.2]),
+        frames=st.integers(1, 3),
+        tail=st.integers(0, 4799),
+        seed=st.integers(0, 2**32 - 1),
+        log_gain=st.floats(-6.0, 6.0),
+        silent=st.sampled_from(["none", "left", "right", "band", "all"]),
+    )
+    def check(num_bands, frame_s, frames, tail, seed, log_gain, silent):
+        frame = int(round(frame_s * sc.SAMPLE_RATE))
+        n = frame + (frames - 1) * int(round(fe.HOP_S * sc.SAMPLE_RATE)) + tail
+        bands = 10.0**log_gain * np.random.default_rng(seed).standard_normal((num_bands, 2, n))
+        if silent == "left":
+            bands[:, 0] = 0.0
+        elif silent == "right":
+            bands[:, 1] = 0.0
+        elif silent == "band":
+            bands[0] = 0.0
+        elif silent == "all":
+            bands[:] = 0.0
+        fast = fe.beamform_salience(bands, frame_s)
+        assert fast.shape == (frames, 37)
+        np.testing.assert_allclose(fast, bruteforce_salience(bands, frame_s), rtol=0, atol=1e-10)
+
+    check()
 
 
 def test_beamform_identical_channels_symmetric_peak_at_zero():
-    left, _ = analyzed_clip(0.0)
-    sal = fe.beamform_salience(left, left)
+    sal = fe.beamform_salience(analyzed_clip(0.0)[:, [0, 0]], fe.FRAME_S)
     for row in sal:
         np.testing.assert_allclose(row, row[::-1], atol=1e-9)
         assert int(np.argmax(row)) == 18  # the 0 degree bin
@@ -140,30 +186,33 @@ def test_beamform_identical_channels_symmetric_peak_at_zero():
 
 
 def test_beamform_swap_mirrors_salience():
-    left, right = analyzed_clip(45.0)
-    sal = fe.beamform_salience(left, right)
-    swapped = fe.beamform_salience(right, left)
+    bands = analyzed_clip(45.0)
+    sal = fe.beamform_salience(bands, fe.FRAME_S)
+    swapped = fe.beamform_salience(bands[:, ::-1], fe.FRAME_S)
     np.testing.assert_allclose(swapped, sal[:, ::-1], atol=1e-6)
 
 
 def test_beamform_argmax_tracks_source():
-    left, right = analyzed_clip(30.0, duration=0.4, noise=0.03)
-    sal = fe.beamform_salience(left, right)
-    centers = np.array(fe.AZIMUTH_BINS)
-    for row in sal:
-        assert abs(centers[int(np.argmax(row))] - 30.0) <= 5.0
+    bands = analyzed_clip(30.0, duration=0.4, noise=0.03)
+    for row in fe.beamform_salience(bands, fe.FRAME_S):
+        assert abs(fe.AZIMUTH_BINS[int(np.argmax(row))] - 30.0) <= 5.0
 
 
 def test_beamform_silent_input_all_zero():
-    silent = np.zeros((4, 20000))
-    sal = fe.beamform_salience(silent, silent)
+    sal = fe.beamform_salience(np.zeros((4, 2, 20000)), fe.FRAME_S)
     assert sal.shape[0] >= 1
     assert not sal.any()
 
 
 def test_beamform_rejects_frame_longer_than_signal():
     with pytest.raises(DomainError):
-        fe.beamform_salience(np.ones((2, 100)), np.ones((2, 100)))
+        fe.beamform_salience(np.ones((2, 2, 100)), fe.FRAME_S)
+
+
+def test_beamform_takes_stereo_bands_only():
+    for shape in [(9600,), (2, 9600), (2, 1, 9600), (2, 3, 9600)]:
+        with pytest.raises(DomainError):
+            fe.beamform_salience(np.ones(shape), fe.FRAME_S)
 
 
 # ---------------------------------------------------------------------------
@@ -176,13 +225,12 @@ def test_uniform_prior_zero_salience_stays_uniform():
     np.testing.assert_allclose(post.probs, 1.0 / 37, atol=1e-12)
 
 
-def test_zero_decay_returns_pure_softmax():
+def test_zero_decay_returns_pure_softmax(monkeypatch):
+    monkeypatch.setattr(fe, "DECAY_LAMBDA", 0.0)
     rng = np.random.default_rng(1)
     prior = rng.dirichlet(np.ones(37))
     salience = rng.uniform(0, 1, 37)
-    post = fe.update_posterior(
-        fe.AzimuthPosterior(prior, np.array(fe.AZIMUTH_BINS, float)), salience, decay=0.0
-    )
+    post = fe.update_posterior(fe.AzimuthPosterior(prior), salience)
     logits = (salience - salience.max()) / fe.TEMPERATURE_TAU
     expect = np.exp(logits) / np.exp(logits).sum()
     np.testing.assert_allclose(post.probs, expect, atol=1e-12)
@@ -224,16 +272,14 @@ def test_estimate_uniform_tie_breaks_to_zero():
 def test_estimate_peak_bin():
     probs = np.full(37, 0.01)
     probs[24] += 1.0 - probs.sum()  # bin center +30
-    post = fe.AzimuthPosterior(probs, np.array(fe.AZIMUTH_BINS, float))
-    assert fe.estimate_location(post) == 30.0
+    assert fe.estimate_location(fe.AzimuthPosterior(probs)) == 30.0
 
 
 def test_estimate_two_equal_peaks_prefers_center_proximal():
     probs = np.full(37, (1.0 - 0.4) / 35)
     probs[12] = 0.2  # -30
     probs[30] = 0.2  # +60
-    post = fe.AzimuthPosterior(probs, np.array(fe.AZIMUTH_BINS, float))
-    assert fe.estimate_location(post) == -30.0
+    assert fe.estimate_location(fe.AzimuthPosterior(probs)) == -30.0
 
 
 def test_localization_soundness_two_quick_cases():
@@ -242,35 +288,38 @@ def test_localization_soundness_two_quick_cases():
     for az in (-30.0, 60.0):
         scene = speaker_scene(az, noise=0.08)
         clip = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 1.0, seed=int(200 + az))
-        left = fe.gammatone_analyze(clip.left)
-        right = fe.gammatone_analyze(clip.right)
+        bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(
+            np.stack([clip.left, clip.right])
+        )
         post = fe.uniform_posterior()
-        for row in fe.beamform_salience(left, right):
+        for row in fe.beamform_salience(bands, fe.FRAME_S):
             post = fe.update_posterior(post, row)
         assert abs(fe.estimate_location(post) - az) <= 5.0
 
 
-def test_gammatone_stream_matches_one_shot():
-    rng = np.random.default_rng(97)
-    x = rng.standard_normal(20_000)
-    bank = fe.make_gammatone_bank(num_bands=8)
-    whole = fe.gammatone_analyze(x, bank)
-    stream = fe.GammatoneStream(bank)
-    chunks = [stream.process(c) for c in (x[:3000], x[3000:3001], x[3001:12_000], x[12_000:])]
-    assert np.max(np.abs(np.concatenate(chunks, axis=1) - whole)) < 1e-12
-
-
-def stream_bands(x, chunk_lengths):
-    """Filter ``x`` (1-D or ``(channels, n)``) chunk by chunk with a fresh stream."""
-    channels = 1 if x.ndim == 1 else x.shape[0]
-    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8), channels=channels)
-    edges = np.cumsum([0] + chunk_lengths)
+def stream_bands(x, chunk_lengths, num_bands=8):
+    """Filter a ``(2, n)`` signal chunk by chunk with a fresh stream."""
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands))
+    edges = np.cumsum([0] + list(chunk_lengths))
     return np.concatenate(
-        [stream.process(x[..., a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=-1
+        [stream.process(x[:, a:b]) for a, b in zip(edges[:-1], edges[1:])], axis=-1
     )
 
 
-@pytest.mark.parametrize("shape", [(9600,), (2, 9600)], ids=["mono", "stereo"])
+def oracle_bands(x, num_bands=8):
+    """Both channels of ``x`` through :func:`gammatone_analyze`, stacked as
+    the stream lays them out, ``(num_bands, 2, n)``."""
+    bank = fe.make_gammatone_bank(num_bands=num_bands)
+    return np.stack([gammatone_analyze(x[0], bank), gammatone_analyze(x[1], bank)], axis=1)
+
+
+def test_gammatone_stream_matches_one_shot():
+    x = np.random.default_rng(97).standard_normal((2, 20_000))
+    chunks = stream_bands(x, [3000, 1, 8999, 8000])
+    assert np.max(np.abs(chunks - oracle_bands(x))) < 1e-12
+
+
+@pytest.mark.parametrize("shape", [(2, 9600)], ids=["stereo"])
 @pytest.mark.parametrize(
     "chunk_lengths", [[9600], [1, 4799, 4800], [333] * 28 + [276]], ids=["whole", "uneven", "small"]
 )
@@ -286,10 +335,39 @@ def test_stream_fallback_filter_matches_kernel(monkeypatch, shape, chunk_lengths
     assert np.array_equal(fallback, kernel)
 
 
+def test_gammatone_stream_matches_oracle_at_any_chunking():
+    """Random chunk boundaries, band counts and signals give the oracle's
+    bands bit for bit."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.sampled_from([1, 8, 32]),
+        n=st.integers(1, 6000),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(num_bands, n, fractions, seed):
+        x = np.random.default_rng(seed).standard_normal((2, n))
+        edges = sorted({0, n, *(int(f * n) for f in fractions)})
+        got = stream_bands(x, np.diff(edges), num_bands=num_bands)
+        assert np.array_equal(got, oracle_bands(x, num_bands=num_bands))
+
+    check()
+
+
 def test_gammatone_stream_rejects_empty_chunk():
     stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
     with pytest.raises(DomainError):
-        stream.process(np.array([]))
+        stream.process(np.zeros((2, 0)))
+
+
+def test_gammatone_stream_takes_stereo_chunks_only():
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
+    for shape in [(100,), (1, 100), (3, 100), (2, 2, 100)]:
+        with pytest.raises(DomainError):
+            stream.process(np.zeros(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -300,29 +378,23 @@ def frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s):
     """Reference: the per-frame loop the tracker replaces, one beamform call
     per frame on a band buffer grown by concatenation.  Returns the posterior
     after each chunk ``stereo[:, cuts[i]:cuts[i + 1]]``."""
-    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands), channels=2)
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands))
     frame_n = int(round(frame_s * sc.SAMPLE_RATE))
     hop_n = int(round(hop_s * sc.SAMPLE_RATE))
-    band_l = np.zeros((num_bands, 0))
-    band_r = np.zeros((num_bands, 0))
+    bands = np.zeros((num_bands, 2, 0))
     posterior = fe.uniform_posterior()
     out = []
     for a, b in zip(cuts[:-1], cuts[1:]):
-        bands = stream.process(stereo[:, a:b])
-        band_l = np.concatenate([band_l, bands[:, 0, :]], axis=1)
-        band_r = np.concatenate([band_r, bands[:, 1, :]], axis=1)
-        while band_l.shape[1] >= frame_n:
-            salience = fe.beamform_salience(
-                band_l[:, :frame_n], band_r[:, :frame_n], frame_s=frame_s, hop_s=frame_s
-            )
+        bands = np.concatenate([bands, stream.process(stereo[:, a:b])], axis=2)
+        while bands.shape[2] >= frame_n:
+            salience = fe.beamform_salience(bands[:, :, :frame_n], frame_s)
             posterior = fe.update_posterior(posterior, salience[0])
-            band_l = band_l[:, hop_n:]
-            band_r = band_r[:, hop_n:]
+            bands = bands[:, :, hop_n:]
         out.append(posterior.probs)
     return out
 
 
-@pytest.mark.parametrize("num_bands, frame_s, hop_s", [(8, 0.1, 0.1), (32, 0.2, 0.1)])
+@pytest.mark.parametrize("num_bands, frame_s, hop_s", [(8, 0.1, fe.HOP_S), (32, 0.2, fe.HOP_S)])
 @pytest.mark.parametrize("chunk_s", [0.07, 0.1, 0.33, 0.5, None])
 def test_tracker_matches_frame_loop_bit_for_bit(num_bands, frame_s, hop_s, chunk_s):
     """Chunks shorter than a frame, chunks off the hop grid, and one
@@ -333,12 +405,14 @@ def test_tracker_matches_frame_loop_bit_for_bit(num_bands, frame_s, hop_s, chunk
     step = n if chunk_s is None else int(round(chunk_s * sc.SAMPLE_RATE))
     cuts = list(range(0, n, step)) + [n]
     expect = frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s)
-    tracker = fe.AzimuthTracker(num_bands, frame_s, hop_s)
+    tracker = fe.AzimuthTracker(num_bands, frame_s)
     for (a, b), ref in zip(zip(cuts[:-1], cuts[1:]), expect):
         assert np.array_equal(tracker.feed(stereo[:, a:b]).probs, ref)
     assert fe.estimate_location(tracker.posterior) == -25.0
 
 
 def test_tracker_rejects_hop_longer_than_frame():
-    with pytest.raises(DomainError):
-        fe.AzimuthTracker(8, frame_s=0.1, hop_s=0.2)
+    """Frames step by ``HOP_S``, so a shorter frame would skip samples."""
+    for frame_s in (0.05, 0.0, float("nan")):
+        with pytest.raises(DomainError):
+            fe.AzimuthTracker(8, frame_s=frame_s)

@@ -20,7 +20,6 @@ from cocktail.localizer import (
     save_localizer,
     train_localizer,
     validation_mask,
-    zero_localizer,
 )
 
 
@@ -76,32 +75,30 @@ def test_quantization_rejects_out_of_range():
         elevation_class(-63.0)
 
 
-def test_class_to_degrees_roundtrip():
+def test_class_to_degrees_roundtrip(zero_model):
     """``predict_angles`` turns each class back into the angle it quantizes."""
-    model = zero_localizer()
     x = np.zeros(FEATURE_DIM)
     for angle in np.arange(-160.0, 161.0, 5.0):
-        model.ba[:] = 0.0
-        model.ba[azimuth_class(angle)] = 1.0
-        assert predict_angles(model, x)[0][0] == angle
+        zero_model.ba[:] = 0.0
+        zero_model.ba[azimuth_class(angle)] = 1.0
+        assert predict_angles(zero_model, x)[0][0] == angle
     for angle in np.arange(-60.0, 61.0, 5.0):
-        model.be[:] = 0.0
-        model.be[elevation_class(angle)] = 1.0
-        assert predict_angles(model, x)[1][0] == angle
+        zero_model.be[:] = 0.0
+        zero_model.be[elevation_class(angle)] = 1.0
+        assert predict_angles(zero_model, x)[1][0] == angle
 
 
 # ---------------------------------------------------------------------------
 # Loss and gradients
 
 
-def test_zero_model_emits_exactly_uniform_loss():
-    model = zero_localizer()
+def test_zero_model_emits_exactly_uniform_loss(zero_model):
     rng = np.random.default_rng(3)
     for batch in (1, 7):
         x = rng.normal(size=(batch, FEATURE_DIM))
         az = rng.integers(0, AZ_NUM_CLASSES, batch)
         el = rng.integers(0, EL_NUM_CLASSES, batch)
-        value = loss(model, x, az, el)
+        value = loss(zero_model, x, az, el)
         assert abs(value - (np.log(65) + np.log(25))) < 1e-9
 
 
@@ -145,9 +142,8 @@ def test_loss_validates_inputs():
         loss(model, x, [0, 0], [0, -1])
 
 
-def test_predict_angles_accepts_single_vector():
-    model = zero_localizer()
-    az, el = predict_angles(model, np.zeros(FEATURE_DIM))
+def test_predict_angles_accepts_single_vector(zero_model):
+    az, el = predict_angles(zero_model, np.zeros(FEATURE_DIM))
     # All-equal logits argmax to class 0 on both heads.
     assert az.shape == el.shape == (1,)
     assert az[0] == -160.0 and el[0] == -60.0
@@ -200,20 +196,20 @@ def test_validation_mask_is_deterministic_tenth():
         validation_mask(0)
 
 
-def test_evaluate_localizer_perfect_on_constant_labels():
-    model = zero_localizer()  # predicts (-160, -60) everywhere
+def test_evaluate_localizer_perfect_on_constant_labels(zero_model):
+    # The zero model predicts (-160, -60) everywhere.
     records = [
         FakeRecord(np.zeros(FEATURE_DIM), -160.0, -60.0) for _ in range(4)
     ]
-    result = evaluate_localizer(model, records)
+    result = evaluate_localizer(zero_model, records)
     assert result["count"] == 4
     assert result["azimuth_within_10_deg"] == 1.0
     assert result["elevation_within_10_deg"] == 1.0
     assert result["azimuth_mae_deg"] == 0.0
-    prefixed = evaluate_localizer(model, records, prefix="val_")
+    prefixed = evaluate_localizer(zero_model, records, prefix="val_")
     assert prefixed["val_count"] == 4
     with pytest.raises(DomainError):
-        evaluate_localizer(model, [])
+        evaluate_localizer(zero_model, [])
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +245,8 @@ def test_load_localizer_missing_arrays(tmp_path):
         load_localizer(path)
 
 
-def test_load_localizer_bad_shape(tmp_path):
-    model = zero_localizer()
-    arrays = {name: getattr(model, name) for name in MLPLocalizer._SHAPES}
+def test_load_localizer_bad_shape(tmp_path, zero_model):
+    arrays = {name: getattr(zero_model, name) for name in MLPLocalizer._SHAPES}
     arrays["w2"] = np.zeros((2, 2))
     path = tmp_path / "shape.npz"
     with open(path, "wb") as fh:
@@ -260,8 +255,7 @@ def test_load_localizer_bad_shape(tmp_path):
         load_localizer(path)
 
 
-def test_model_validates_non_finite(tmp_path):
-    model = zero_localizer()
-    model.w1[0, 0] = np.inf
+def test_model_validates_non_finite(tmp_path, zero_model):
+    zero_model.w1[0, 0] = np.inf
     with pytest.raises(DomainError):
-        MLPLocalizer(**{name: getattr(model, name) for name in MLPLocalizer._SHAPES})
+        MLPLocalizer(**{name: getattr(zero_model, name) for name in MLPLocalizer._SHAPES})

@@ -194,21 +194,31 @@ def test_observe_cells_in_unit_range():
 # ---------------------------------------------------------------------------
 
 
+def mouth_jitter(spk, seed, k0, n):
+    """The mouth jitter of samples ``k0 .. k0 + n - 1`` in units of the gain:
+    sample ``k`` comes from block ``k // 10``, seeded by (seed, 3, speaker id,
+    block)."""
+    blocks = [
+        np.random.default_rng(np.random.SeedSequence((seed, 3, spk.id, b))).normal(0.0, 1.0, 10)
+        for b in range(k0 // 10, (k0 + n + 9) // 10)
+    ]
+    return 0.05 * spk.mouth_gain * np.concatenate(blocks)[k0 % 10 : k0 % 10 + n]
+
+
 def test_mouth_silent_speaker_constant_baseline():
     spk = sc.SpeakerSpec(id=2, azimuth_world=0, elevation_world=0, mouth_baseline=0.4)
     schedule = sc.TurnSchedule(((0.0, 10.0, None),))
-    _, areas = sc.mouth_area_signal(spk, schedule, 0.0, 10.0, jitter=False)
-    assert np.all(areas == 0.4)
+    _, areas = sc.mouth_area_signal(spk, schedule, 0.0, 10.0, seed=6)
+    assert np.array_equal(areas, 0.4 + mouth_jitter(spk, 6, 0, 100))
 
 
 def test_mouth_active_speaker_tracks_modulator_exactly():
     scene = single_speaker_scene(0.0)
     spk = scene.speakers[0]
-    times, areas = sc.mouth_area_signal(spk, scene.schedule, 0.0, 10.0, jitter=False)
+    times, areas = sc.mouth_area_signal(spk, scene.schedule, 0.0, 10.0, seed=6)
     env = sc.source_envelope(spk.speech, times)
-    np.testing.assert_allclose(areas, spk.mouth_baseline + spk.mouth_gain * env)
-    r = np.corrcoef(areas, env)[0, 1]
-    assert abs(r - 1.0) < 1e-12
+    expect = spk.mouth_baseline + spk.mouth_gain * env + mouth_jitter(spk, 6, 0, 100)
+    assert np.array_equal(areas, expect)
 
 
 def test_mouth_10s_at_10hz_gives_100_samples():
@@ -218,13 +228,12 @@ def test_mouth_10s_at_10hz_gives_100_samples():
 
 
 def test_mouth_jitter_scale_and_determinism():
-    scene = single_speaker_scene(0.0, mouth_gain=2.0)
+    scene = single_speaker_scene(0.0, duration=1000.0, mouth_gain=2.0)
     spk = scene.speakers[0]
-    _, a1 = sc.mouth_area_signal(spk, scene.schedule, 0.0, 1000.0, seed=5)
+    times, a1 = sc.mouth_area_signal(spk, scene.schedule, 0.0, 1000.0, seed=5)
     _, a2 = sc.mouth_area_signal(spk, scene.schedule, 0.0, 1000.0, seed=5)
     assert np.array_equal(a1, a2)
-    _, clean = sc.mouth_area_signal(spk, scene.schedule, 0.0, 1000.0, jitter=False)
-    resid = a1 - clean
+    resid = a1 - (spk.mouth_baseline + spk.mouth_gain * sc.source_envelope(spk.speech, times))
     assert abs(np.std(resid) - 0.05 * spk.mouth_gain) < 0.01
 
 
@@ -237,21 +246,16 @@ def test_mouth_streaming_consistency():
 
 
 def test_mouth_jitter_is_seeded_per_ten_sample_block():
-    """Jitter sample ``k`` comes from block ``k // 10``, seeded by (seed, 3,
-    speaker id, block), wherever the requested window starts and ends."""
-    scene = single_speaker_scene(0.0, mouth_gain=2.0)
+    """Jitter sample ``k`` comes from block ``k // 10`` wherever the
+    requested window starts and ends."""
+    scene = single_speaker_scene(0.0, duration=30.0, mouth_gain=2.0)
     spk = scene.speakers[0]
     rng = np.random.default_rng(8)
     for _ in range(20):
         k0, n = int(rng.integers(0, 200)), int(rng.integers(1, 60))
-        _, clean = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, jitter=False)
-        _, noisy = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, seed=9)
-        blocks = [
-            np.random.default_rng(np.random.SeedSequence((9, 3, spk.id, b))).normal(0.0, 1.0, 10)
-            for b in range(k0 // 10, (k0 + n + 9) // 10)
-        ]
-        jitter = np.concatenate(blocks)[k0 % 10 : k0 % 10 + n]
-        assert np.array_equal(noisy, clean + 0.05 * spk.mouth_gain * jitter)
+        times, noisy = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, seed=9)
+        clean = spk.mouth_baseline + spk.mouth_gain * sc.source_envelope(spk.speech, times)
+        assert np.array_equal(noisy, clean + mouth_jitter(spk, 9, k0, n))
 
 
 def test_envelope_in_band():
