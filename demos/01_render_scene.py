@@ -46,8 +46,7 @@ def main():
 
     # Measure the lag of the left channel relative to the right channel.
     max_lag = 48
-    left = clip.left - clip.left.mean()
-    right = clip.right - clip.right.mean()
+    left, right = clip.audio - clip.audio.mean(axis=1, keepdims=True)
     lags = np.arange(-max_lag, max_lag + 1)
     scores = [
         float(np.dot(left[max_lag + lag : len(left) - max_lag + lag],
@@ -59,14 +58,15 @@ def main():
 
     print(f"predicted interaural delay : {predicted:+.1f} samples")
     print(f"measured  interaural delay : {measured:+d} samples")
-    print(f"left-ear  RMS level        : {np.sqrt(np.mean(clip.left ** 2)):.4f}")
-    print(f"right-ear RMS level        : {np.sqrt(np.mean(clip.right ** 2)):.4f}")
+    rms_left, rms_right = np.sqrt(np.mean(clip.audio**2, axis=1))
+    print(f"left-ear  RMS level        : {rms_left:.4f}")
+    print(f"right-ear RMS level        : {rms_right:.4f}")
     print("(the nearer right ear is louder and leads in time)")
 
     out = Path("demo_out")
     out.mkdir(exist_ok=True)
     wav_path = out / "scene_40deg.wav"
-    write_wav(wav_path, clip.left, clip.right)
+    write_wav(wav_path, clip.audio)
     print(f"wrote {wav_path}")
 
 

@@ -52,7 +52,7 @@ def main():
     )
     print(f"rendering {duration:.0f} s; speaker 1 talks, speaker 2 is silent ...")
     clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=42)
-    env1, env2 = stereo_envelopes_10hz(clip.left, clip.right)
+    env1, env2 = stereo_envelopes_10hz(clip.audio)
     _, mouth_talker = mouth_area_signal(talker, scene.schedule, 0.0, duration,
                                         seed=42)
     _, mouth_silent = mouth_area_signal(silent, scene.schedule, 0.0, duration,

@@ -9,8 +9,6 @@ energy concentrates around the true direction.
 Run:  python demos/04_attention_map.py
 """
 
-import numpy as np
-
 from cocktail import frontend
 from cocktail.scene import (
     HeadPose,
@@ -29,7 +27,7 @@ def posterior_for(azimuth, seed=42, duration=1.0, noise_level=0.003):
                   schedule=TurnSchedule(((0.0, duration, 1),)),
                   noise_level=noise_level)
     clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-    return frontend.AzimuthTracker().feed(np.stack([clip.left, clip.right]))
+    return frontend.AzimuthTracker().feed(clip.audio)
 
 
 def sketch(posterior, width=37):

@@ -310,8 +310,7 @@ def run_episode(
     def ingest(t0: float, duration: float, analyze_tail_s: float | None = None):
         """Render, buffer, and analyze ``[t0, t0 + duration)`` at `pose`."""
         nonlocal recent, env, mouth
-        clip = render_binaural(scene, pose, t0, duration, seed=render_seed)
-        stereo = np.stack([clip.left, clip.right])
+        stereo = render_binaural(scene, pose, t0, duration, seed=render_seed).audio
         # Trimming the chunk first bounds what the kept slice holds alive.
         recent = np.concatenate(
             [recent, stereo[:, -EVIDENCE_WINDOW_SAMPLES:]], axis=1

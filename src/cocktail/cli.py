@@ -157,10 +157,14 @@ def _require(obj, key, what):
     return obj[key]
 
 
-def _finite_float(text):
+def finite_float(text) -> float:
+    """``float(text)``, refusing NaN and +/-inf with a :class:`ValueError`.
+
+    Parses the scene config's numbers and every float command line flag.
+    """
     value = float(text)
     if not np.isfinite(value):
-        raise FormatError(f"scene config number {text} is not a finite float")
+        raise ValueError(f"{text} is not a finite number")
     return value
 
 
@@ -174,11 +178,12 @@ def load_scene_config(path) -> tuple[Scene, float]:
     """
     text = _read_text(path, "scene file")
     try:
-        doc = json.loads(text, parse_constant=_finite_float, parse_float=_finite_float)
+        doc = json.loads(text, parse_constant=finite_float, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON in {path}: {exc.msg}", line=exc.lineno) from exc
     except (ValueError, RecursionError) as exc:
-        # An integer past Python's digit limit, or arrays nested too deep.
+        # A non-finite number, an integer past Python's digit limit, or
+        # arrays nested too deep.
         raise FormatError(f"unreadable scene config {path}: {exc}") from None
     if not isinstance(doc, dict):
         raise FormatError("scene config must be a JSON object")
@@ -264,9 +269,13 @@ def load_scene_config(path) -> tuple[Scene, float]:
 # WAV and mouth-CSV files
 
 
-def write_wav(path, left, right) -> None:
-    """Write a stereo 16-bit PCM WAV at 48 kHz; samples are clipped to [-1, 1]."""
-    pcm = np.clip(np.stack([left, right], axis=1), -1.0, 1.0)
+def write_wav(path, audio) -> None:
+    """Write ``(2, n)`` audio as a stereo 16-bit PCM WAV at 48 kHz; samples
+    are clipped to [-1, 1]."""
+    audio = np.asarray(audio, dtype=np.float64)
+    if audio.ndim != 2 or audio.shape[0] != 2:
+        raise DomainError(f"stereo audio must have shape (2, n), got {audio.shape}")
+    pcm = np.clip(audio.T, -1.0, 1.0)
     data = np.round(pcm * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(2)
@@ -275,14 +284,22 @@ def write_wav(path, left, right) -> None:
         fh.writeframes(data.tobytes())
 
 
-def read_wav(path) -> tuple[np.ndarray, np.ndarray, int]:
-    """Read a stereo 16-bit PCM WAV back into float arrays in [-1, 1]."""
+def read_wav(path) -> tuple[np.ndarray, int]:
+    """Read a stereo 16-bit PCM WAV back into ``(audio, rate)``, ``audio`` a
+    ``(2, n)`` float array in [-1, 1].
+
+    A data chunk that ends part way through a frame raises
+    :class:`FormatError`.
+    """
     try:
         fh = wave.open(str(path), "rb")
     except FileNotFoundError:
         raise InputError(f"no such WAV file: {path}") from None
     except (wave.Error, EOFError) as exc:
         raise FormatError(f"not a WAV file: {path} ({exc})") from exc
+    except RuntimeError as exc:
+        # What the wave module raises for a chunk that runs past the file.
+        raise FormatError(f"not a WAV file: {path} (a chunk runs past its end)") from exc
     with fh:
         if fh.getnchannels() != 2:
             raise FormatError(
@@ -292,8 +309,13 @@ def read_wav(path) -> tuple[np.ndarray, np.ndarray, int]:
             raise FormatError(f"{path}: expected 16-bit PCM")
         rate = fh.getframerate()
         raw = fh.readframes(fh.getnframes())
-    data = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return data[0::2], data[1::2], rate
+    if len(raw) % 4:
+        raise FormatError(
+            f"{path}: data chunk ends part way through a frame "
+            f"({len(raw)} bytes is not a whole number of 4-byte frames)"
+        )
+    frames = np.frombuffer(raw, dtype="<i2").reshape(-1, 2)
+    return frames.T.astype(np.float64, order="C") / 32767.0, rate
 
 
 def write_mouth_csv(path, times, areas) -> None:
@@ -337,10 +359,10 @@ def read_mouth_csv(path) -> np.ndarray:
 # Experiment flows (importable; the cmd_* handlers wrap these)
 
 
-def stereo_envelopes_10hz(left, right, rate: int = SAMPLE_RATE):
-    """The ``(2, k)`` channel envelopes resampled to the mouth-area rate."""
-    env = analytic_envelope(np.stack([left, right]))
-    return resample_envelope(env, rate, MOUTH_RATE_HZ)
+def stereo_envelopes_10hz(audio, rate: int = SAMPLE_RATE):
+    """The ``(2, k)`` channel envelopes of ``(2, n)`` audio, resampled to the
+    mouth-area rate."""
+    return resample_envelope(analytic_envelope(audio), rate, MOUTH_RATE_HZ)
 
 
 def avsync_windows(env1, env2, mouth, window_s: float):
@@ -369,7 +391,7 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
         )
     first, second = scene.speakers
     clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-    env1, env2 = stereo_envelopes_10hz(clip.left, clip.right)
+    env1, env2 = stereo_envelopes_10hz(clip.audio)
     _, mouth1 = mouth_area_signal(first, scene.schedule, 0.0, duration, seed=seed)
     _, mouth2 = mouth_area_signal(second, scene.schedule, 0.0, duration, seed=seed)
     window_n = int(round(window_s * MOUTH_RATE_HZ))
@@ -404,7 +426,7 @@ def attention_map_rows(azimuths, duration: float, noise_level: float,
             noise_level=noise_level,
         )
         clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-        posterior = frontend.AzimuthTracker().feed(np.stack([clip.left, clip.right]))
+        posterior = frontend.AzimuthTracker().feed(clip.audio)
         estimate = frontend.estimate_location(posterior)
         rows.append(
             (float(azimuth), float(estimate), abs(float(estimate) - float(azimuth)),
@@ -424,7 +446,7 @@ def cmd_simulate(args) -> int:
     pose = HeadPose(args.pan, args.tilt)
     clip = render_binaural(scene, pose, 0.0, duration, seed=seed)
     wav_path = out / "audio.wav"
-    write_wav(wav_path, clip.left, clip.right)
+    write_wav(wav_path, clip.audio)
     written = [str(wav_path)]
     for speaker in scene.speakers:
         times, areas = mouth_area_signal(
@@ -464,14 +486,14 @@ def cmd_avsync(args) -> int:
         speaker_id = args.speaker if args.speaker is not None else scene.speakers[0].id
         speaker = scene.speaker(speaker_id)
         clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-        left, right, rate = clip.left, clip.right, SAMPLE_RATE
+        audio, rate = clip.audio, SAMPLE_RATE
         _, mouth = mouth_area_signal(speaker, scene.schedule, 0.0, duration, seed=seed)
     else:
         if not args.wav or not args.mouth:
             raise InputError("avsync needs either --synthetic or --wav plus --mouth")
-        left, right, rate = read_wav(args.wav)
+        audio, rate = read_wav(args.wav)
         mouth = read_mouth_csv(args.mouth)
-    env1, env2 = stereo_envelopes_10hz(left, right, rate)
+    env1, env2 = stereo_envelopes_10hz(audio, rate)
     results = avsync_windows(env1, env2, mouth, args.window_s)
     rows = []
     for w, res in enumerate(results):
@@ -722,8 +744,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("simulate", help="render a scene to WAV + CSV")
     common(sub)
     sub.add_argument("--scene", required=True, help="scene JSON file")
-    sub.add_argument("--pan", type=float, default=0.0, help="head pan (deg)")
-    sub.add_argument("--tilt", type=float, default=0.0, help="head tilt (deg)")
+    sub.add_argument("--pan", type=finite_float, default=0.0, help="head pan (deg)")
+    sub.add_argument("--tilt", type=finite_float, default=0.0, help="head tilt (deg)")
     sub.set_defaults(func=cmd_simulate)
 
     sub = subparsers.add_parser("avsync", help="windowed mouth/envelope correlation")
@@ -733,22 +755,22 @@ def build_parser() -> argparse.ArgumentParser:
                      help="speaker id for --synthetic (default: first)")
     sub.add_argument("--wav", help="stereo WAV input")
     sub.add_argument("--mouth", help="mouth-area CSV input (10 Hz)")
-    sub.add_argument("--window-s", type=float, default=10.0)
+    sub.add_argument("--window-s", type=finite_float, default=10.0)
     sub.set_defaults(func=cmd_avsync)
 
     sub = subparsers.add_parser("turn-taking", help="two-speaker activity detection")
     common(sub)
     sub.add_argument("--scene", required=True, help="two-speaker scene JSON")
-    sub.add_argument("--window-s", type=float, default=10.0)
+    sub.add_argument("--window-s", type=finite_float, default=10.0)
     sub.set_defaults(func=cmd_turn_taking)
 
     sub = subparsers.add_parser("attention-map", help="azimuth estimation sweep")
     common(sub)
     sub.add_argument("--azimuths", default="-60,-30,0,30,60",
                      help="comma-separated source azimuths (deg)")
-    sub.add_argument("--duration-s", type=float, default=1.0)
-    sub.add_argument("--noise-level", type=float, default=0.003)
-    sub.add_argument("--elevation", type=float, default=0.0)
+    sub.add_argument("--duration-s", type=finite_float, default=1.0)
+    sub.add_argument("--noise-level", type=finite_float, default=0.003)
+    sub.add_argument("--elevation", type=finite_float, default=0.0)
     sub.set_defaults(func=cmd_attention_map)
 
     sub = subparsers.add_parser("train-rl", help="train the Q-learning controller")
@@ -771,8 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--dataset", required=True, help="dataset JSONL file")
     sub.add_argument("--epochs", type=int, default=lz.DEFAULT_EPOCHS)
     sub.add_argument("--batch-size", type=int, default=lz.DEFAULT_BATCH_SIZE)
-    sub.add_argument("--learning-rate", type=float, default=lz.DEFAULT_LEARNING_RATE)
-    sub.add_argument("--momentum", type=float, default=lz.DEFAULT_MOMENTUM)
+    sub.add_argument("--learning-rate", type=finite_float, default=lz.DEFAULT_LEARNING_RATE)
+    sub.add_argument("--momentum", type=finite_float, default=lz.DEFAULT_MOMENTUM)
     sub.set_defaults(func=cmd_train_localizer)
 
     sub = subparsers.add_parser("eval-localizer", help="score a localizer")

@@ -64,13 +64,12 @@ _HEADER_KEYS = ("format", "version", "feature_dim", "count")
 
 @dataclass(frozen=True, eq=False)
 class EvidenceCapture:
-    """An unlabeled audio snapshot plus the head pose that recorded it."""
+    """An unlabeled ``(2, n)`` audio snapshot plus the head pose that recorded it."""
 
     time_s: float
     pan_deg: float
     tilt_deg: float
-    left: np.ndarray
-    right: np.ndarray
+    audio: np.ndarray
     posterior_peak: float
 
 
@@ -96,13 +95,11 @@ class EvidenceBuffer:
             return None
         if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
             return None
-        left, right = np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:])
         capture = EvidenceCapture(
             time_s=float(t_s),
             pan_deg=pose.pan,
             tilt_deg=pose.tilt,
-            left=left,
-            right=right,
+            audio=np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:]),
             posterior_peak=peak,
         )
         self.captures.append(capture)
@@ -157,7 +154,7 @@ def label_on_fixation(
     for cap in captures:
         records.append(
             LabeledRecord(
-                features=extract_features(cap.left, cap.right),
+                features=extract_features(cap.audio),
                 azimuth_deg=float(final_pose.pan - cap.pan_deg),
                 elevation_deg=float(final_pose.tilt - cap.tilt_deg),
                 episode_id=int(episode_id),

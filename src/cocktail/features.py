@@ -38,33 +38,28 @@ FEATURE_DIM = NUM_GCC_LAGS + NUM_BANDS
 _ILD_EPS = 1e-12
 
 
-def _validate_pair(left: np.ndarray, right: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    l = np.asarray(left, dtype=np.float64)
-    r = np.asarray(right, dtype=np.float64)
-    if l.ndim != 1 or r.ndim != 1:
-        raise DomainError(
-            f"channels must be 1-D, got shapes {l.shape} and {r.shape}"
-        )
-    if l.size != r.size:
-        raise DomainError(
-            f"channels must have equal length, got {l.size} and {r.size}"
-        )
-    if not (np.all(np.isfinite(l)) and np.all(np.isfinite(r))):
-        raise DomainError("channels contain non-finite values")
-    return l, r
+def _validate_stereo(audio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The left and right rows of a finite ``(2, n)`` array."""
+    x = np.asarray(audio, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != 2:
+        raise DomainError(f"stereo audio must have shape (2, n), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError("stereo audio contains non-finite values")
+    return x[0], x[1]
 
 
-def gcc_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+def gcc_features(audio: np.ndarray) -> np.ndarray:
     """Energy-normalized cross-correlation at integer lags ``-MAX_LAG_SAMPLES
-    .. +MAX_LAG_SAMPLES``.
+    .. +MAX_LAG_SAMPLES`` of a ``(2, n)`` stereo array.
 
     Returns ``c[k] = sum_n left[n + k] * right[n] / sqrt(E_l * E_r)`` where
-    ``E_l, E_r`` are the channel energies, ordered from the most negative lag
-    to the most positive.  A positive peak lag means the left channel is a
-    delayed copy of the right, i.e. the source sits on the positive-azimuth
-    side.  If either channel is silent the correlation is all zeros.
+    ``left, right = audio`` and ``E_l, E_r`` are the channel energies,
+    ordered from the most negative lag to the most positive.  A positive
+    peak lag means the left channel is a delayed copy of the right, i.e. the
+    source sits on the positive-azimuth side.  If either channel is silent
+    the correlation is all zeros.
     """
-    l, r = _validate_pair(left, right)
+    l, r = _validate_stereo(audio)
     n = l.size
     if n <= MAX_LAG_SAMPLES:
         raise DomainError(f"need more than {MAX_LAG_SAMPLES} samples, got {n}")
@@ -81,8 +76,9 @@ def gcc_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return cc / np.sqrt(energy)
 
 
-def ild_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-band interaural level differences in dB (left minus right).
+def ild_features(audio: np.ndarray) -> np.ndarray:
+    """Per-band interaural level differences in dB (left minus right) of a
+    ``(2, n)`` stereo array.
 
     Band powers are computed spectrally: the rfft power spectrum of each
     channel is weighted by the squared magnitude response of each gammatone
@@ -93,7 +89,7 @@ def ild_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     written as a difference of logarithms so that swapping the channels
     negates the vector exactly.  Silent bands give exactly 0 dB.
     """
-    l, r = _validate_pair(left, right)
+    l, r = _validate_stereo(audio)
     if l.size < 2:
         raise DomainError(f"need at least 2 samples, got {l.size}")
     pl = np.abs(np.fft.rfft(l)) ** 2
@@ -104,12 +100,12 @@ def ild_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
     return 10.0 * (np.log10(band_l) - np.log10(band_r))
 
 
-def extract_features(left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Full 129-dimensional feature vector for one binaural snippet.
+def extract_features(audio: np.ndarray) -> np.ndarray:
+    """Full 129-dimensional feature vector for one ``(2, n)`` binaural snippet.
 
     Concatenates :func:`gcc_features` (97 values) and :func:`ild_features`
     (32 values).  The vector is finite, gain-invariant up to round-off, and
-    mirror-antisymmetric: swapping the channels reverses the GCC block and
-    negates the ILD block.
+    mirror-antisymmetric: swapping the channels (``audio[::-1]``) reverses
+    the GCC block and negates the ILD block.
     """
-    return np.concatenate([gcc_features(left, right), ild_features(left, right)])
+    return np.concatenate([gcc_features(audio), ild_features(audio)])

@@ -376,7 +376,8 @@ class AzimuthTracker:
     beamforms every ``frame_s`` frame (at ``HOP_S`` spacing) that the band
     buffer now holds in one batched :func:`beamform_salience` call, and folds
     the rows into the posterior in order.  Only the band samples the next
-    frame still needs are kept, so the buffer stays shorter than one frame.
+    frame still needs are kept, shorter than one frame, at the front of one
+    band buffer that grows to the longest feed and is reused after that.
     Feeding a signal in any chunking gives the same posterior as one feed of
     the whole signal.
     """
@@ -388,19 +389,30 @@ class AzimuthTracker:
         self.frame_s = frame_s
         self._frame = int(round(frame_s * SAMPLE_RATE))
         self._bands = np.zeros((num_bands, 2, 0))
+        self._kept = 0
         self.posterior = uniform_posterior()
 
     def feed(self, stereo):
         """Analyze a ``(2, n)`` chunk; returns the updated posterior."""
-        # The filter output is a temporary, released before beamforming.  At
-        # full-fidelity sizes (32 bands, 0.5 s chunks) keeping it alive lifts
-        # each call's peak scratch memory enough that the allocator hands the
-        # heap back to the system, and every call then faults in fresh pages.
-        bands = np.concatenate([self._bands, self.stream.process(stereo)], axis=2)
-        if bands.shape[2] >= self._frame:
-            salience = beamform_salience(bands, self.frame_s)
+        # A fresh buffer per feed would be freed at the end of each call, and
+        # at full-fidelity sizes (32 bands, 0.5 s chunks) the allocator then
+        # hands the memory back to the system and every call faults in fresh
+        # pages.  For the same reason the filter output is released before
+        # beamforming.
+        new = self.stream.process(stereo)
+        n = self._kept + new.shape[2]
+        if self._bands.shape[2] < n:
+            grown = np.empty(new.shape[:2] + (n,))
+            grown[:, :, : self._kept] = self._bands[:, :, : self._kept]
+            self._bands = grown
+        self._bands[:, :, self._kept : n] = new
+        del new
+        if n >= self._frame:
+            salience = beamform_salience(self._bands[:, :, :n], self.frame_s)
             for row in salience:
                 self.posterior = update_posterior(self.posterior, row)
-            bands = bands[:, :, len(salience) * _HOP :]
-        self._bands = bands
+            used = len(salience) * _HOP
+            self._bands[:, :, : n - used] = self._bands[:, :, used:n]
+            n -= used
+        self._kept = n
         return self.posterior

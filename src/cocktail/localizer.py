@@ -25,7 +25,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import DomainError, FormatError, InputError
+from .errors import DegenerateDataError, DomainError, FormatError, InputError
 from .features import FEATURE_DIM
 
 #: Degrees between adjacent classes of either head.
@@ -298,12 +298,14 @@ def train_localizer(
     Plain minibatch SGD with classical momentum (``v = mu*v - lr*g``,
     ``p += v``).  The stats dict reports fold sizes, the loss curve, and
     accuracy on the held-out fold (fraction of validation records whose
-    predicted angle lies within 10 degrees of the label).
+    predicted angle lies within 10 degrees of the label).  A fit whose loss
+    stops being finite, on an epoch or on the fitted weights, raises
+    :class:`DegenerateDataError`.
     """
     if epochs <= 0 or batch_size <= 0:
         raise DomainError("epochs and batch_size must be positive")
-    if learning_rate <= 0.0:
-        raise DomainError(f"learning_rate must be positive, got {learning_rate}")
+    if not (math.isfinite(learning_rate) and learning_rate > 0.0):
+        raise DomainError(f"learning_rate must be positive and finite, got {learning_rate}")
     if not 0.0 <= momentum < 1.0:
         raise DomainError(f"momentum must be in [0, 1), got {momentum}")
     x, az, el = _records_to_arrays(records)
@@ -322,21 +324,34 @@ def train_localizer(
     velocity = {name: np.zeros_like(arr) for name, arr in model.parameters()}
     params = dict(model.parameters())
     history = []
-    for _ in range(epochs):
-        order = rng.permutation(train_x.shape[0])
-        epoch_loss = 0.0
-        for start in range(0, order.size, batch_size):
-            batch = order[start : start + batch_size]
-            value, grads = loss_and_grads(
-                model, train_x[batch], train_az[batch], train_el[batch]
-            )
-            epoch_loss += value * batch.size
-            for name, grad in grads.items():
-                vel = velocity[name]
-                vel *= momentum
-                vel -= learning_rate * grad
-                params[name] += vel
-        history.append(epoch_loss / order.size)
+    # A diverging fit overflows; the finiteness check below reports it,
+    # once, in place of numpy's warnings.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(epochs):
+            order = rng.permutation(train_x.shape[0])
+            epoch_loss = 0.0
+            for start in range(0, order.size, batch_size):
+                batch = order[start : start + batch_size]
+                value, grads = loss_and_grads(
+                    model, train_x[batch], train_az[batch], train_el[batch]
+                )
+                epoch_loss += value * batch.size
+                for name, grad in grads.items():
+                    vel = velocity[name]
+                    vel *= momentum
+                    vel -= learning_rate * grad
+                    params[name] += vel
+            history.append(epoch_loss / order.size)
+            if not math.isfinite(history[-1]):
+                break
+        # An epoch's loss scores the weights before its last step, so the
+        # fitted weights are scored once more.
+        fitted_loss = loss(model, train_x, train_az, train_el)
+    if not (math.isfinite(history[-1]) and math.isfinite(fitted_loss)):
+        raise DegenerateDataError(
+            f"training diverged by epoch {len(history)}: the loss is no longer finite; "
+            f"try a learning_rate below {learning_rate}"
+        )
 
     stats = {
         "train_size": int(train_x.shape[0]),

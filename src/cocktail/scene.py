@@ -177,20 +177,27 @@ class HeadPose:
 
 @dataclass(frozen=True)
 class BinauralClip:
-    """Two-channel sample buffer at 48 kHz."""
+    """Two-channel sample buffer at 48 kHz: ``audio`` is ``(2, n)``, left ear first."""
 
-    left: np.ndarray
-    right: np.ndarray
+    audio: np.ndarray
 
     def __post_init__(self):
-        left = np.asarray(self.left, dtype=np.float64)
-        right = np.asarray(self.right, dtype=np.float64)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        if left.shape != right.shape or left.ndim != 1:
-            raise DomainError("left/right must be 1-D arrays of equal length")
-        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(right))):
+        audio = np.asarray(self.audio, dtype=np.float64)
+        object.__setattr__(self, "audio", audio)
+        if audio.ndim != 2 or audio.shape[0] != 2:
+            raise DomainError(f"clip audio must have shape (2, n), got {audio.shape}")
+        if not np.all(np.isfinite(audio)):
             raise DomainError("clip contains non-finite samples")
+
+    @property
+    def left(self) -> np.ndarray:
+        """The left-ear row of :attr:`audio`, a view."""
+        return self.audio[0]
+
+    @property
+    def right(self) -> np.ndarray:
+        """The right-ear row of :attr:`audio`, a view."""
+        return self.audio[1]
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +331,8 @@ def render_binaural(scene, pose, t0, duration, seed):
     its pose-relative azimuth, split across ears by a +/-1.5 dB x sin(azimuth)
     level difference, notch-filtered at an elevation-dependent frequency, and
     summed; seeded white noise at ``noise_level`` RMS is added to both
-    channels. Deterministic for fixed arguments.
+    channels. Returns a :class:`BinauralClip`; deterministic for fixed
+    arguments.
     """
 
     if duration <= 0:
@@ -373,7 +381,7 @@ def render_binaural(scene, pose, t0, duration, seed):
             n0 + n,
             lambda rng: rng.normal(0.0, 1.0, (2, _BLOCK)),
         )
-    return BinauralClip(out[0], out[1])
+    return BinauralClip(out)
 
 
 # ---------------------------------------------------------------------------

@@ -151,7 +151,7 @@ def test_criterion_2_matched_vs_mismatched_mouth_audio_pairing():
         noise_level=0.01,
     )
     clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=42)
-    env1, env2 = cli.stereo_envelopes_10hz(clip.left, clip.right)
+    env1, env2 = cli.stereo_envelopes_10hz(clip.audio)
     _, mouth_talker = mouth_area_signal(talker, scene.schedule, 0.0, duration,
                                         seed=42)
     _, mouth_silent = mouth_area_signal(silent, scene.schedule, 0.0, duration,

@@ -333,10 +333,8 @@ def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
     assert [cap.time_s for cap in result.captures] == [2.0, 4.0]
     for cap in result.captures:
         before = [clip for t0, clip in chunks if t0 < cap.time_s]
-        left = np.concatenate([clip.left for clip in before])
-        right = np.concatenate([clip.right for clip in before])
-        assert np.array_equal(cap.left, left[-EVIDENCE_WINDOW_SAMPLES:])
-        assert np.array_equal(cap.right, right[-EVIDENCE_WINDOW_SAMPLES:])
+        audio = np.concatenate([clip.audio for clip in before], axis=1)
+        assert np.array_equal(cap.audio, audio[:, -EVIDENCE_WINDOW_SAMPLES:])
 
 
 def test_run_episode_breaking_fixation_terminates_as_failure():

@@ -5,6 +5,7 @@ and printed output can be asserted without spawning an interpreter.  The
 rendering-heavy commands share module-scoped artifact directories.
 """
 
+import argparse
 import csv
 import json
 import wave
@@ -204,20 +205,39 @@ class TestSceneConfig:
 class TestWavIO:
     def test_roundtrip_within_quantization(self, tmp_path):
         rng = np.random.default_rng(0)
-        left = 0.5 * rng.standard_normal(4800).clip(-1.9, 1.9)
-        right = 0.5 * rng.standard_normal(4800).clip(-1.9, 1.9)
+        audio = 0.5 * rng.standard_normal((2, 4800)).clip(-1.9, 1.9)
         path = tmp_path / "clip.wav"
-        cli.write_wav(path, left, right)
-        got_left, got_right, rate = cli.read_wav(path)
+        cli.write_wav(path, audio)
+        got, rate = cli.read_wav(path)
         assert rate == 48000
-        np.testing.assert_allclose(got_left, np.clip(left, -1, 1), atol=2e-5)
-        np.testing.assert_allclose(got_right, np.clip(right, -1, 1), atol=2e-5)
+        assert got.shape == (2, 4800)
+        np.testing.assert_allclose(got, np.clip(audio, -1, 1), atol=2e-5)
 
     def test_out_of_range_samples_are_clipped(self, tmp_path):
         path = tmp_path / "clip.wav"
-        cli.write_wav(path, np.array([2.0, -3.0]), np.array([0.0, 0.0]))
-        left, _, _ = cli.read_wav(path)
-        np.testing.assert_allclose(left, [1.0, -1.0])
+        cli.write_wav(path, np.array([[2.0, -3.0], [0.0, 0.0]]))
+        got, _ = cli.read_wav(path)
+        np.testing.assert_allclose(got, [[1.0, -1.0], [0.0, 0.0]])
+
+    @pytest.mark.parametrize("shape", [(4800,), (1, 4800), (3, 4800), (4800, 2)])
+    def test_write_takes_two_rows_only(self, tmp_path, shape):
+        with pytest.raises(DomainError):
+            cli.write_wav(tmp_path / "clip.wav", np.zeros(shape))
+
+    @pytest.mark.parametrize("cut", [1, 2, 3])
+    def test_data_chunk_ending_mid_frame_rejected(self, tmp_path, cut):
+        path = tmp_path / "clip.wav"
+        cli.write_wav(path, np.zeros((2, 9600)))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(FormatError, match="part way through a frame"):
+            cli.read_wav(path)
+
+    def test_data_chunk_ending_on_a_frame_reads_the_whole_frames(self, tmp_path):
+        path = tmp_path / "clip.wav"
+        cli.write_wav(path, np.full((2, 9600), 0.5))
+        path.write_bytes(path.read_bytes()[:-4])
+        got, _ = cli.read_wav(path)
+        assert got.shape == (2, 9599)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(InputError):
@@ -311,10 +331,10 @@ class TestSimulate:
         assert (sim_dir / "truth.json").exists()
 
     def test_audio_has_expected_length(self, sim_dir):
-        left, right, rate = cli.read_wav(sim_dir / "audio.wav")
+        audio, rate = cli.read_wav(sim_dir / "audio.wav")
         assert rate == 48000
-        assert left.shape == right.shape == (6 * 48000,)
-        assert float(np.max(np.abs(left))) > 0.01
+        assert audio.shape == (2, 6 * 48000)
+        assert float(np.max(np.abs(audio))) > 0.01
 
     def test_mouth_track_is_10hz(self, sim_dir):
         areas = cli.read_mouth_csv(sim_dir / "mouth_1.csv")
@@ -420,8 +440,8 @@ class TestSimulate:
         )
         assert code == 0
         assert (tmp_path / "mouth_1.csv").read_text() == "time_s,area\n"
-        left, _, _ = cli.read_wav(tmp_path / "audio.wav")
-        assert left.size == round(duration * 48000)
+        audio, _ = cli.read_wav(tmp_path / "audio.wav")
+        assert audio.shape == (2, round(duration * 48000))
 
     def test_missing_scene_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(
@@ -499,6 +519,17 @@ class TestAvsync:
         )
         assert code == 2
         assert "no such WAV file" in err
+
+    def test_wav_cut_mid_frame_exits_2(self, sim_dir, tmp_path, capsys):
+        wav = tmp_path / "cut.wav"
+        wav.write_bytes((sim_dir / "audio.wav").read_bytes()[:-3])
+        code, _, err = run_cli(
+            ["avsync", "--wav", str(wav), "--mouth", str(sim_dir / "mouth_1.csv"),
+             "--window-s", "2", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "part way through a frame" in err
 
     def test_mouth_times_off_the_10hz_grid_exit_2(self, sim_dir, tmp_path, capsys):
         mouth = tmp_path / "gappy.csv"
@@ -690,6 +721,16 @@ def loc_dir(tmp_path_factory):
 
 
 class TestTrainLocalizer:
+    def test_diverging_fit_exits_3_and_writes_no_model(self, loc_dir, tmp_path, capsys):
+        code, _, err = run_cli(
+            ["train-localizer", "--dataset", str(loc_dir / "train.jsonl"),
+             "--epochs", "3", "--learning-rate", "1e300", "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 3
+        assert "diverged" in err
+        assert not (tmp_path / cli.MODEL_FILE).exists()
+
     def test_model_artifact_loads(self, loc_dir):
         model = localizer.load_localizer(loc_dir / "localizer.npz")
         assert model.w1.shape == (localizer.FEATURE_DIM, localizer.HIDDEN_UNITS)
@@ -772,3 +813,60 @@ class TestArgumentErrors:
         with pytest.raises(SystemExit) as info:
             cli.main(["frobnicate"])
         assert info.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ["attention-map", "--duration-s", "nan"],
+        ["avsync", "--window-s", "nan"],
+        ["turn-taking", "--window-s", "inf"],
+    ], ids=["duration_nan", "window_nan", "window_inf"])
+    def test_non_finite_float_flag_is_usage_error(self, scene_one, scene_two,
+                                                  tmp_path, capsys, argv):
+        inputs = {"avsync": ["--synthetic", str(scene_one)],
+                  "turn-taking": ["--scene", str(scene_two)]}.get(argv[0], [])
+        with pytest.raises(SystemExit) as info:
+            cli.main([*argv, *inputs, "--out-dir", str(tmp_path)])
+        assert info.value.code == 2
+        assert "invalid finite_float value" in capsys.readouterr().err
+
+
+def float_options():
+    """``(subcommand, option, required arguments)`` for every option of
+    :func:`cli.build_parser` whose type parses ``"0.5"`` to a float."""
+    parser = cli.build_parser()
+    (subparsers,) = [a for a in parser._actions
+                     if isinstance(a, argparse._SubParsersAction)]
+    found = []
+    for command, sub in subparsers.choices.items():
+        required = [arg for a in sub._actions if a.required
+                    for arg in (a.option_strings[0], "x")]
+        for action in sub._actions:
+            if not action.option_strings or action.type is None:
+                continue
+            try:
+                parsed = action.type("0.5")
+            except (TypeError, ValueError):
+                continue
+            if isinstance(parsed, float):
+                found.append((command, action.option_strings[0], required))
+    return found
+
+
+FLOAT_OPTIONS = float_options()
+
+
+def test_float_options_are_all_found():
+    assert {option for _, option, _ in FLOAT_OPTIONS} == {
+        "--pan", "--tilt", "--window-s", "--duration-s", "--noise-level",
+        "--elevation", "--learning-rate", "--momentum",
+    }
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("command, option, required", FLOAT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in FLOAT_OPTIONS])
+def test_every_float_option_rejects_non_finite_values(command, option, required, value):
+    parser = cli.build_parser()
+    parser.parse_args([command, *required, f"{option}=0.5"])
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args([command, *required, f"{option}={value}"])
+    assert info.value.code == 2

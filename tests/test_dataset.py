@@ -81,12 +81,10 @@ def test_capture_records_pose_and_ring_contents():
     buf = EvidenceBuffer()
     cap = buf.maybe_capture(1.5, peaked_posterior(0.5), recent, HeadPose(25.0, 10.0))
     assert cap.pan_deg == 25.0 and cap.tilt_deg == 10.0 and cap.time_s == 1.5
-    assert np.array_equal(cap.left, expected[0])
-    assert np.array_equal(cap.right, expected[1])
+    assert np.array_equal(cap.audio, expected)
     # Later writes to the episode's array must not reach the stored snapshot.
     recent[:] = 0.0
-    assert np.array_equal(cap.left, expected[0])
-    assert np.array_equal(cap.right, expected[1])
+    assert np.array_equal(cap.audio, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -123,7 +121,7 @@ def test_label_on_fixation_relative_pose_labels():
     assert rec.azimuth_deg == 15.0
     assert rec.elevation_deg == 5.0
     assert rec.episode_id == 7
-    assert np.array_equal(rec.features, extract_features(cap.left, cap.right))
+    assert np.array_equal(rec.features, extract_features(cap.audio))
 
 
 def test_label_on_fixation_empty_captures():

@@ -32,7 +32,7 @@ def analyzed_clip(az, duration=0.3, noise=0.05, num_bands=6, seed=7):
     """Stereo band signals of a rendered clip, shape ``(num_bands, 2, n)``."""
     clip = sc.render_binaural(speaker_scene(az, noise=noise), sc.HeadPose(0, 0), 0.0, duration, seed=seed)
     stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands))
-    return stream.process(np.stack([clip.left, clip.right]))
+    return stream.process(clip.audio)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +288,7 @@ def test_localization_soundness_two_quick_cases():
     for az in (-30.0, 60.0):
         scene = speaker_scene(az, noise=0.08)
         clip = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 1.0, seed=int(200 + az))
-        bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(
-            np.stack([clip.left, clip.right])
-        )
+        bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(clip.audio)
         post = fe.uniform_posterior()
         for row in fe.beamform_salience(bands, fe.FRAME_S):
             post = fe.update_posterior(post, row)
@@ -399,8 +397,7 @@ def frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s):
 def test_tracker_matches_frame_loop_bit_for_bit(num_bands, frame_s, hop_s, chunk_s):
     """Chunks shorter than a frame, chunks off the hop grid, and one
     whole-signal feed (``None``) all give the reference posteriors exactly."""
-    clip = sc.render_binaural(speaker_scene(-25.0, noise=0.02), sc.HeadPose(0, 0), 0.0, 1.2, seed=4)
-    stereo = np.stack([clip.left, clip.right])
+    stereo = sc.render_binaural(speaker_scene(-25.0, noise=0.02), sc.HeadPose(0, 0), 0.0, 1.2, seed=4).audio
     n = stereo.shape[1]
     step = n if chunk_s is None else int(round(chunk_s * sc.SAMPLE_RATE))
     cuts = list(range(0, n, step)) + [n]
@@ -416,3 +413,19 @@ def test_tracker_rejects_hop_longer_than_frame():
     for frame_s in (0.05, 0.0, float("nan")):
         with pytest.raises(DomainError):
             fe.AzimuthTracker(8, frame_s=frame_s)
+
+
+def test_tracker_reuses_one_band_buffer():
+    """Feeds write into one band buffer that grows to the longest feed.  A
+    buffer made per feed, freed at the end of each call, has every
+    full-fidelity feed (32 bands, 0.2 s frames) fault its memory in afresh;
+    a view of it kept as the leftover holds the whole buffer alive until
+    the next feed makes another."""
+    tracker = fe.AzimuthTracker(32, 0.2)
+    rng = np.random.default_rng(3)
+    tracker.feed(rng.standard_normal((2, 24_000)))
+    buffer = tracker._bands
+    assert buffer.shape == (32, 2, 24_000) and tracker._kept == 4_800
+    for _ in range(3):
+        tracker.feed(rng.standard_normal((2, 4_800)))
+        assert tracker._bands is buffer and tracker._kept == 4_800

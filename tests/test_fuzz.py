@@ -1,8 +1,9 @@
-"""Property-based fuzzing of the file readers and the ``simulate`` command.
+"""Property-based fuzzing of the file readers and the ``simulate`` and
+``avsync`` commands.
 
-Whatever bytes a scene, dataset or mouth-area file holds, only
-:class:`CocktailError` subclasses may escape a reader, and
-``cocktail simulate`` may exit only 0, 2 or 3.
+Whatever bytes a scene, dataset, mouth-area or WAV file holds, only
+:class:`CocktailError` subclasses may escape a reader, and ``cocktail
+simulate`` and ``cocktail avsync --wav`` may exit only 0, 2 or 3.
 """
 
 import json
@@ -159,18 +160,9 @@ VALID_DATASET = _valid_dataset_bytes()
     )
 )
 def test_read_dataset_on_mutated_bytes_raises_only_package_errors(edits):
-    data = bytearray(VALID_DATASET)
-    for pos, byte, kind in edits:
-        pos = min(pos, len(data) - 1)
-        if kind == "replace":
-            data[pos] = byte
-        elif kind == "insert":
-            data.insert(pos, byte)
-        elif len(data) > 1:
-            del data[pos]
     with tempfile.TemporaryDirectory() as d:
         try:
-            read_dataset(write(d, "dataset.jsonl", bytes(data)))
+            read_dataset(write(d, "dataset.jsonl", mutate(VALID_DATASET, edits)))
         except CocktailError:
             pass
 
@@ -203,4 +195,57 @@ def test_simulate_exits_only_0_2_or_3(doc):
     with tempfile.TemporaryDirectory() as d:
         path = write(d, "scene.json", dump(doc))
         code = cli.main(["simulate", "--scene", str(path), "--out-dir", d])
+    assert code in (0, 2, 3)
+
+
+def mutate(data: bytes, edits) -> bytes:
+    """``data`` with each ``(position, byte, kind)`` edit applied in turn."""
+    data = bytearray(data)
+    for pos, byte, kind in edits:
+        pos = min(pos, len(data) - 1)
+        if kind == "replace":
+            data[pos] = byte
+        elif kind == "insert":
+            data.insert(pos, byte)
+        elif len(data) > 1:
+            del data[pos]
+    return bytes(data)
+
+
+def _valid_wav_bytes() -> bytes:
+    """0.6 s of stereo noise whose level follows a 10 Hz ramp."""
+    rng = np.random.default_rng(1)
+    level = np.repeat(np.linspace(0.1, 0.5, 6), 4800)
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "audio.wav"
+        cli.write_wav(path, level * rng.uniform(-1.0, 1.0, (2, level.size)))
+        return path.read_bytes()
+
+
+VALID_WAV = _valid_wav_bytes()
+MOUTH_6 = "time_s,area\n" + "".join(f"{0.05 + k / 10},{0.5 + k / 10}\n" for k in range(6))
+
+
+@FUZZ
+@given(
+    edits=st.lists(
+        st.tuples(st.one_of(st.integers(0, 47), st.integers(0, len(VALID_WAV) - 1)),
+                  st.integers(0, 255), st.sampled_from(["replace", "insert", "delete"])),
+        max_size=4,
+    ),
+    keep=st.one_of(st.none(), st.integers(0, len(VALID_WAV))),
+)
+def test_wav_reader_and_avsync_on_mutated_bytes(edits, keep):
+    data = mutate(VALID_WAV, edits)[:keep]
+    with tempfile.TemporaryDirectory() as d:
+        wav = write(d, "audio.wav", data)
+        try:
+            audio, _ = cli.read_wav(wav)
+        except CocktailError:
+            pass
+        else:
+            assert audio.ndim == 2 and audio.shape[0] == 2
+        code = cli.main(["avsync", "--wav", str(wav), "--mouth",
+                         str(write(d, "mouth.csv", MOUTH_6)), "--window-s", "0.3",
+                         "--out-dir", d])
     assert code in (0, 2, 3)

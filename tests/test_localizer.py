@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cocktail.errors import DomainError, FormatError, InputError
+from cocktail.errors import DegenerateDataError, DomainError, FormatError, InputError
 from cocktail.features import FEATURE_DIM
 from cocktail.localizer import (
     AZ_NUM_CLASSES,
@@ -185,6 +185,23 @@ def test_training_validates_parameters():
         train_localizer(records, learning_rate=0.0)
     with pytest.raises(DomainError):
         train_localizer(records, momentum=1.0)
+
+
+@pytest.mark.parametrize("learning_rate", [float("nan"), float("inf")])
+def test_training_rejects_non_finite_learning_rate(learning_rate):
+    with pytest.raises(DomainError, match="learning_rate"):
+        train_localizer(onehot_records(50), epochs=1, learning_rate=learning_rate)
+
+
+@pytest.mark.parametrize("epochs, batch_size", [(3, 64), (1, 1000)],
+                         ids=["later_epoch", "last_step"])
+def test_training_that_diverges_raises_degenerate_data(epochs, batch_size):
+    """The first step throws the weights past the float range.  The fit says
+    so, whether a later epoch's loss shows it or only the fitted weights do
+    (one epoch of one batch), and no numpy warning escapes on the way."""
+    with pytest.raises(DegenerateDataError, match="diverged"):
+        train_localizer(onehot_records(200), epochs=epochs, batch_size=batch_size,
+                        learning_rate=1e300)
 
 
 def test_validation_mask_is_deterministic_tenth():

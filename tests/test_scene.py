@@ -88,14 +88,15 @@ def test_render_empty_schedule_silence():
         speakers=(), schedule=sc.TurnSchedule(((0.0, 5.0, None),)), noise_level=0.0
     )
     clip = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.5, seed=1)
-    assert np.all(clip.left == 0) and np.all(clip.right == 0)
+    assert clip.audio.shape == (2, 24_000)
+    assert np.all(clip.audio == 0)
 
 
 def test_render_deterministic():
     scene = single_speaker_scene(30.0, el=10.0, noise=0.05)
     a = sc.render_binaural(scene, sc.HeadPose(5, -5), 0.3, 0.4, seed=11)
     b = sc.render_binaural(scene, sc.HeadPose(5, -5), 0.3, 0.4, seed=11)
-    assert np.array_equal(a.left, b.left) and np.array_equal(a.right, b.right)
+    assert np.array_equal(a.audio, b.audio)
 
 
 def test_render_streaming_consistency():
@@ -104,10 +105,8 @@ def test_render_streaming_consistency():
     pose = sc.HeadPose(10, 5)
     whole = sc.render_binaural(scene, pose, 0.0, 0.4, seed=5)
     chunks = [sc.render_binaural(scene, pose, 0.1 * i, 0.1, seed=5) for i in range(4)]
-    left = np.concatenate([c.left for c in chunks])
-    right = np.concatenate([c.right for c in chunks])
-    np.testing.assert_allclose(left, whole.left, atol=1e-10)
-    np.testing.assert_allclose(right, whole.right, atol=1e-10)
+    audio = np.concatenate([c.audio for c in chunks], axis=1)
+    np.testing.assert_allclose(audio, whole.audio, atol=1e-10)
 
 
 def test_render_mirror_symmetry():
@@ -115,8 +114,7 @@ def test_render_mirror_symmetry():
     for az, el in [(30.0, 10.0), (75.0, -20.0)]:
         plus = sc.render_binaural(single_speaker_scene(az, el=el), sc.HeadPose(0, 0), 0.0, 0.3, seed=9)
         minus = sc.render_binaural(single_speaker_scene(-az, el=el), sc.HeadPose(0, 0), 0.0, 0.3, seed=9)
-        assert np.array_equal(plus.right, minus.left)
-        assert np.array_equal(plus.left, minus.right)
+        assert np.array_equal(plus.audio, minus.audio[::-1])
 
 
 def test_render_ild_louder_on_source_side():
@@ -151,6 +149,39 @@ def test_render_rejects_bad_duration():
     scene = single_speaker_scene(0.0)
     with pytest.raises(DomainError):
         sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.0, seed=1)
+
+
+def test_render_rejects_noise_that_overflows():
+    scene = single_speaker_scene(0.0, noise=1e308)
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+        sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.1, seed=1)
+
+
+# ---------------------------------------------------------------------------
+# BinauralClip
+# ---------------------------------------------------------------------------
+
+
+def test_clip_ears_are_views_of_its_audio():
+    audio = np.arange(8.0).reshape(2, 4)
+    clip = sc.BinauralClip(audio)
+    assert clip.audio is audio
+    assert np.shares_memory(clip.left, audio) and np.shares_memory(clip.right, audio)
+    assert np.array_equal(clip.left, audio[0]) and np.array_equal(clip.right, audio[1])
+
+
+@pytest.mark.parametrize("shape", [(8,), (1, 8), (3, 8), (8, 2), (2, 2, 8)])
+def test_clip_rejects_shapes_other_than_two_rows(shape):
+    with pytest.raises(DomainError, match="shape"):
+        sc.BinauralClip(np.zeros(shape))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_clip_rejects_non_finite_samples(value):
+    audio = np.zeros((2, 8))
+    audio[1, 5] = value
+    with pytest.raises(DomainError, match="non-finite"):
+        sc.BinauralClip(audio)
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +370,13 @@ def test_schedule_active_at():
 def test_wav_round_trip(tmp_path):
     scene = single_speaker_scene(20.0)
     raw = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.25, seed=2)
-    left, right = 0.5 * raw.left, 0.5 * raw.right  # keep within full scale
+    audio = 0.5 * raw.audio  # keep within full scale
     path = tmp_path / "clip.wav"
-    cli.write_wav(path, left, right)
-    back_left, back_right, rate = cli.read_wav(path)
+    cli.write_wav(path, audio)
+    back, rate = cli.read_wav(path)
     assert rate == sc.SAMPLE_RATE
-    assert len(back_left) == len(back_right) == len(raw.left)
-    np.testing.assert_allclose(back_left, left, atol=1.0 / 32767)
-    np.testing.assert_allclose(back_right, right, atol=1.0 / 32767)
+    assert back.shape == audio.shape
+    np.testing.assert_allclose(back, audio, atol=1.0 / 32767)
 
 
 def test_mouth_csv_round_trip(tmp_path):
