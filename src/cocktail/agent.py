@@ -95,7 +95,9 @@ class AgentConfig:
     ``fast`` trades fidelity for speed: coarser time steps, fewer gammatone
     bands, frame-length analysis hops, and a shorter correlation window
     (5 s instead of 10 s at the 10 Hz mouth rate).  The state space, reward
-    and termination rules are identical in both modes.
+    and termination rules are identical in both modes.  The window also
+    bounds the raw audio an episode keeps for its envelopes (see
+    :class:`EnvelopeWindow`): the window plus at most one chunk.
     """
 
     fast: bool = False
@@ -251,6 +253,39 @@ def is_fixated(pose: HeadPose, azimuth_world: float, elevation_world: float) -> 
 # Episode runner
 
 
+class EnvelopeWindow:
+    """The 10 Hz binaural envelope of an episode's newest ``window_n``
+    samples, taken only when a correlation reads it.
+
+    :meth:`add` keeps each rendered ``(2, n)`` chunk as raw audio, ``n`` a
+    whole number of 10 Hz samples, and drops the oldest chunk as soon as
+    the newer ones alone cover the window, so fewer than ``window_n`` plus
+    one chunk's samples are ever kept.  :meth:`last` replaces each chunk
+    it reads by that chunk's 10 Hz envelope, once, with the same
+    :func:`analytic_envelope` and :func:`resample_envelope` calls on the
+    same chunk as enveloping every chunk on arrival would make, so the
+    result is the same bit for bit.  A chunk no correlation reads is never
+    enveloped.
+    """
+
+    def __init__(self, window_n: int):
+        self.window_n = window_n
+        self._chunks: list[list] = []  # [10 Hz samples, array, enveloped?]
+
+    def add(self, stereo: np.ndarray) -> None:
+        self._chunks.append([stereo.shape[1] * MOUTH_RATE_HZ // SAMPLE_RATE, stereo, False])
+        while sum(c[0] for c in self._chunks[1:]) >= self.window_n:
+            del self._chunks[0]
+
+    def last(self) -> np.ndarray:
+        """The ``(2, window_n)`` envelope of the newest ``window_n`` samples."""
+        for chunk in self._chunks:
+            if not chunk[2]:
+                env = analytic_envelope(chunk[1])
+                chunk[1:] = resample_envelope(env, SAMPLE_RATE, MOUTH_RATE_HZ), True
+        return np.concatenate([c[1] for c in self._chunks], axis=1)[:, -self.window_n :]
+
+
 @dataclass(frozen=True)
 class EpisodeResult:
     """Outcome of one attention episode.
@@ -285,7 +320,10 @@ def run_episode(
     (the recent audio window was rendered at the pre-action pose, keeping
     captures pose-consistent); picks an action; renders the next
     ``config.step_s`` of audio at the new pose; and scores the step with the
-    audio-visual reward.  Success is three consecutive fixated steps;
+    audio-visual reward.  The binaural envelope that reward correlates with
+    the mouth is taken only of the chunks a correlation reads, when it first
+    reads them (:class:`EnvelopeWindow`).  Success is three consecutive
+    fixated steps;
     breaking an acquired fixation ends the episode in failure (one
     attention event per episode, so boundary oscillation cannot outvalue
     holding).
@@ -303,20 +341,19 @@ def run_episode(
     tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s)
     evidence = EvidenceBuffer()
     recent = np.zeros((2, 0))
-    env = np.zeros((2, 0))
+    env = EnvelopeWindow(config.corr_window_n)
     mouth = np.zeros(0)
     pose = init_pose
 
     def ingest(t0: float, duration: float, analyze_tail_s: float | None = None):
         """Render, buffer, and analyze ``[t0, t0 + duration)`` at `pose`."""
-        nonlocal recent, env, mouth
+        nonlocal recent, mouth
         stereo = render_binaural(scene, pose, t0, duration, seed=render_seed).audio
         # Trimming the chunk first bounds what the kept slice holds alive.
         recent = np.concatenate(
             [recent, stereo[:, -EVIDENCE_WINDOW_SAMPLES:]], axis=1
         )[:, -EVIDENCE_WINDOW_SAMPLES:]
-        env10 = resample_envelope(analytic_envelope(stereo), fs, MOUTH_RATE_HZ)
-        env = np.concatenate([env, env10], axis=1)
+        env.add(stereo)
         _, areas = mouth_area_signal(
             speaker, scene.schedule, t0, duration, seed=render_seed
         )
@@ -356,7 +393,8 @@ def run_episode(
         corr = None
         if fixated and mouth.size >= config.corr_window_n:
             w = config.corr_window_n
-            corr = correlate_min_p(env[0, -w:], env[1, -w:], mouth[-w:], window_n=w)[0]
+            left, right = env.last()
+            corr = correlate_min_p(left, right, mouth[-w:], window_n=w)[0]
         step_reward = reward(fixated, corr)
         total_reward += step_reward.total
         steps = k + 1

@@ -409,6 +409,12 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
     return rows
 
 
+#: The longest ``attention-map --duration-s``: a 600 s clip is 460 MB of audio.
+MAX_ATTENTION_S = 600.0
+#: Samples of the clip fed to the azimuth tracker at a time (0.5 s).
+ATTENTION_SLICE_SAMPLES = SAMPLE_RATE // 2
+
+
 def attention_map_rows(azimuths, duration: float, noise_level: float,
                        elevation: float, seed: int):
     """Estimate the source azimuth for one source placed at each direction."""
@@ -425,8 +431,13 @@ def attention_map_rows(azimuths, duration: float, noise_level: float,
             schedule=TurnSchedule(((0.0, duration, 1),)),
             noise_level=noise_level,
         )
-        clip = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed)
-        posterior = frontend.AzimuthTracker().feed(clip.audio)
+        audio = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed).audio
+        # The tracker's posterior does not depend on the chunking; slices
+        # keep its band buffer at one slice instead of 32 times the clip.
+        # An empty clip still reaches the tracker, which rejects it.
+        tracker = frontend.AzimuthTracker()
+        for s0 in range(0, max(audio.shape[1], 1), ATTENTION_SLICE_SAMPLES):
+            posterior = tracker.feed(audio[:, s0 : s0 + ATTENTION_SLICE_SAMPLES])
         estimate = frontend.estimate_location(posterior)
         rows.append(
             (float(azimuth), float(estimate), abs(float(estimate) - float(azimuth)),
@@ -551,6 +562,8 @@ def cmd_attention_map(args) -> int:
         raise InputError(f"bad --azimuths list: {args.azimuths!r}") from None
     if not azimuths:
         raise InputError("--azimuths must name at least one direction")
+    if args.duration_s > MAX_ATTENTION_S:
+        raise InputError(f"--duration-s must be at most {MAX_ATTENTION_S:.0f} s")
     rows = attention_map_rows(
         azimuths, args.duration_s, args.noise_level, args.elevation, seed
     )
@@ -768,7 +781,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub)
     sub.add_argument("--azimuths", default="-60,-30,0,30,60",
                      help="comma-separated source azimuths (deg)")
-    sub.add_argument("--duration-s", type=finite_float, default=1.0)
+    sub.add_argument("--duration-s", type=finite_float, default=1.0,
+                     help=f"clip length per direction, at most {MAX_ATTENTION_S:.0f} s")
     sub.add_argument("--noise-level", type=finite_float, default=0.003)
     sub.add_argument("--elevation", type=finite_float, default=0.0)
     sub.set_defaults(func=cmd_attention_map)

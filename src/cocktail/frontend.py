@@ -142,6 +142,14 @@ def make_gammatone_bank(num_bands=NUM_BANDS):
     return GammatoneBank(center_freqs=cf, sos=_slaney_sos(cf))
 
 
+def _stereo_chunk(x):
+    """``x`` as a float64 ``(2, n)`` array with ``n > 0``, or DomainError."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0:
+        raise DomainError(f"chunk must have shape (2, n>0), got {x.shape}")
+    return x
+
+
 class GammatoneStream:
     """Chunk-wise stereo gammatone analysis that carries filter state between
     calls.
@@ -149,7 +157,6 @@ class GammatoneStream:
     Feeding a ``(2, n)`` signal through :meth:`process` in pieces produces
     exactly the band signals of filtering each whole channel at once, which
     lets the agent analyze audio step by step without re-filtering history.
-    Both channels go through each band in one batched pass.
     """
 
     def __init__(self, bank):
@@ -158,16 +165,27 @@ class GammatoneStream:
         # filter kernel; the public-API fallback transposes as needed.
         self._zi = np.zeros((bank.num_bands, 2, bank.sos.shape[1], 2))
 
-    def process(self, x):
-        """Filter one ``(2, n)`` chunk; returns ``(num_bands, 2, n)``."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0:
-            raise DomainError(f"chunk must have shape (2, n>0), got {x.shape}")
-        out = np.empty((self.bank.num_bands,) + x.shape)
+    def process(self, x, out=None):
+        """Filter one ``(2, n)`` chunk; returns ``(num_bands, 2, n)`` band signals.
+
+        With ``out``, a ``(num_bands, 2, n)`` float64 array whose last axis is
+        contiguous (such as a slice of a larger band buffer), the bands are
+        filtered in place there and ``out`` is returned; the result is the
+        same bit for bit.  The filter kernel runs on each band's one-channel
+        ``(1, n)`` rows, which are C-contiguous in any such array.
+        """
+        x = _stereo_chunk(x)
+        shape = (self.bank.num_bands,) + x.shape
+        if out is None:
+            out = np.empty(shape)
+        elif out.shape != shape or out.dtype != np.float64 or out.strides[-1] != 8:
+            raise DomainError(f"out must be a float64 {shape} array, contiguous along time")
         if _sosfilt_kernel is not None:
             for b in range(self.bank.num_bands):
-                out[b] = x
-                _sosfilt_kernel(self.bank.sos[b], out[b], self._zi[b])
+                for c in range(2):
+                    row = out[b, c : c + 1]
+                    row[...] = x[c : c + 1]
+                    _sosfilt_kernel(self.bank.sos[b], row, self._zi[b, c : c + 1])
         else:
             for b in range(self.bank.num_bands):
                 y, zf = sosfilt(
@@ -227,9 +245,10 @@ def beamform_salience(bands, frame_s):
     :meth:`GammatoneStream.process` returns them.  For every ``frame_s``
     frame (at ``HOP_S`` spacing) and azimuth bin, the left bands are delayed
     by the bin's ITD (linear interpolation for fractional lags) and summed
-    with the right bands; the total energy across bands, normalized to the
-    frame maximum, is the salience. Silent frames yield all-zero rows.
-    Returns an array of shape ``(n_frames, 37)``.
+    with the right bands; the energy summed over bands, clamped at zero
+    against rounding and normalized to the frame maximum, is the salience.
+    Silent frames yield all-zero rows.  Returns an array of shape
+    ``(n_frames, 37)``.
     """
 
     bands = np.asarray(bands, dtype=np.float64)
@@ -246,6 +265,7 @@ def beamform_salience(bands, frame_s):
     dl, dr = bank.lags / 2.0, -bank.lags / 2.0
     il, ir = np.floor(dl).astype(int), np.floor(dr).astype(int)
     wl, wr = dl - il, dr - ir
+    q = il - ir  # integer part of the total lag between the two shifts
 
     starts = np.arange(0, n - frame + 1, _HOP)
     # The FFT correlation is only read at lag indices 0 .. 2k + 3; an FFT
@@ -262,39 +282,32 @@ def beamform_salience(bands, frame_s):
         lf = bands[:, 0, s0 : s0 + frame]
         rf = bands[:, 1, s0 : s0 + frame]
 
-        # Full-overlap sums of the interpolated shifted squares: independent of
-        # the integer part of the shift, they need only the frame energy and
-        # the one-sample autocovariance of each segment.
-        sa_l, sb_l = np.einsum("bn,bn->b", lf, lf), np.einsum(
-            "bn,bn->b", lf[:, :-1], lf[:, 1:]
-        )
-        sa_r, sb_r = np.einsum("bn,bn->b", rf, rf), np.einsum(
-            "bn,bn->b", rf[:, :-1], rf[:, 1:]
-        )
-        s_ll = (((1 - wl) ** 2 + wl**2)[None, :] * sa_l[:, None]
-                + (2 * wl * (1 - wl))[None, :] * sb_l[:, None])
-        s_rr = (((1 - wr) ** 2 + wr**2)[None, :] * sa_r[:, None]
-                + (2 * wr * (1 - wr))[None, :] * sb_r[:, None])
+        # The energy summed over bands is linear in each band's sums, so
+        # every term is summed over bands first.  Full-overlap sums of the
+        # interpolated shifted squares are independent of the integer part
+        # of the shift: they need only the frame energy and the one-sample
+        # autocovariance.
+        sa_l, sb_l = np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:])
+        sa_r, sb_r = np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:])
+        s_ll = ((1 - wl) ** 2 + wl**2) * sa_l + 2 * wl * (1 - wl) * sb_l
+        s_rr = ((1 - wr) ** 2 + wr**2) * sa_r + 2 * wr * (1 - wr) * sb_r
 
-        # Cross term via one batched FFT linear cross-correlation:
-        # cc[k0 + q] = sum_n L[n + q] R[n] for q in [-k0, k0 + 1].
+        # Cross term via the band-summed cross-spectrum and one inverse FFT:
+        # cc[k0 + q] = sum_b sum_n L_b[n + q] R_b[n] for q in [-k0, k0 + 1].
         stacked[:nb, k0 : k0 + frame] = lf
         stacked[nb:, :frame] = rf
         spec = sfft.rfft(stacked, axis=1)
-        cross = spec[:nb] * np.conj(spec[nb:])
-        # Free each spectrum as soon as it is used, so a many-frame call
+        cross = (spec[:nb] * np.conj(spec[nb:])).sum(axis=0)
+        # Free the spectra as soon as they are used, so a many-frame call
         # needs one frame's scratch memory rather than two.
         del spec
-        cc = sfft.irfft(cross, m, axis=1)[:, : 2 * k0 + 2]
-        del cross
-        q = il - ir  # integer part of the total lag between the two shifts
-        s_lr = ((1 - wl) * (1 - wr) * cc[:, k0 + q]
-                + (1 - wl) * wr * cc[:, k0 + q - 1]
-                + wl * (1 - wr) * cc[:, k0 + q + 1]
-                + wl * wr * cc[:, k0 + q])
+        cc = sfft.irfft(cross, m)[: 2 * k0 + 2]
+        s_lr = ((1 - wl) * (1 - wr) * cc[k0 + q]
+                + (1 - wl) * wr * cc[k0 + q - 1]
+                + wl * (1 - wr) * cc[k0 + q + 1]
+                + wl * wr * cc[k0 + q])
 
-        energy = s_ll + 2.0 * s_lr + s_rr
-        total = np.maximum(energy, 0.0).sum(axis=0)
+        total = np.maximum(s_ll + 2.0 * s_lr + s_rr, 0.0)
         peak = total.max()
         if peak > 0:
             salience[fi] = total / peak
@@ -372,12 +385,13 @@ def estimate_location(posterior):
 class AzimuthTracker:
     """Listen to a stereo stream and keep the azimuth posterior up to date.
 
-    Each :meth:`feed` runs the chunk through a :class:`GammatoneStream`,
-    beamforms every ``frame_s`` frame (at ``HOP_S`` spacing) that the band
-    buffer now holds in one batched :func:`beamform_salience` call, and folds
+    Each :meth:`feed` filters the chunk with a :class:`GammatoneStream`
+    straight into one band buffer, behind the band samples kept from earlier
+    feeds; beamforms every ``frame_s`` frame (at ``HOP_S`` spacing) that the
+    buffer now holds in one batched :func:`beamform_salience` call; and folds
     the rows into the posterior in order.  Only the band samples the next
-    frame still needs are kept, shorter than one frame, at the front of one
-    band buffer that grows to the longest feed and is reused after that.
+    frame still needs are kept, shorter than one frame, at the front of the
+    buffer, which grows to the longest feed and is reused after that.
     Feeding a signal in any chunking gives the same posterior as one feed of
     the whole signal.
     """
@@ -397,16 +411,14 @@ class AzimuthTracker:
         # A fresh buffer per feed would be freed at the end of each call, and
         # at full-fidelity sizes (32 bands, 0.5 s chunks) the allocator then
         # hands the memory back to the system and every call faults in fresh
-        # pages.  For the same reason the filter output is released before
-        # beamforming.
-        new = self.stream.process(stereo)
-        n = self._kept + new.shape[2]
+        # pages.
+        stereo = _stereo_chunk(stereo)
+        n = self._kept + stereo.shape[1]
         if self._bands.shape[2] < n:
-            grown = np.empty(new.shape[:2] + (n,))
+            grown = np.empty(self._bands.shape[:2] + (n,))
             grown[:, :, : self._kept] = self._bands[:, :, : self._kept]
             self._bands = grown
-        self._bands[:, :, self._kept : n] = new
-        del new
+        self.stream.process(stereo, out=self._bands[:, :, self._kept : n])
         if n >= self._frame:
             salience = beamform_salience(self._bands[:, :, :n], self.frame_s)
             for row in salience:

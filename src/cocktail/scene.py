@@ -258,6 +258,39 @@ def source_envelope(source, times):
     return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
 
 
+@lru_cache(maxsize=4)
+def _modulator_table(source):
+    """``[cos(w_k r); sin(w_k r)]`` for each modulator component ``k`` and
+    offset ``r`` in one block, ``w_k = 2 pi f_k / fs``: a ``(16, _BLOCK)``
+    array, 0.6 MB, so the cache holds only a few sources."""
+    freqs, _, _ = _modulator_params(source)
+    w = 2.0 * np.pi * freqs[:, None] * np.arange(_BLOCK) / SAMPLE_RATE
+    return np.concatenate([np.cos(w), np.sin(w)])
+
+
+def _modulator(source, n0, n1):
+    """:func:`source_envelope` at samples ``[n0, n1)`` (times ``n / fs``),
+    evaluated block by block as a sum of phasors.
+
+    Each component is ``a_k cos(theta_k + w_k r)`` at offset ``r`` into a
+    block whose start phase is ``theta_k``, so a block's ridge is the dot
+    product of one coefficient per component, ``(a_k cos theta_k, -a_k sin
+    theta_k)``, with the cached :func:`_modulator_table`.  Every block is
+    computed alone, so any window of the modulator reproduces the same
+    samples bit for bit.
+    """
+    freqs, amps, phases = _modulator_params(source)
+    b0, b1 = n0 // _BLOCK, -(-n1 // _BLOCK)
+    theta = 2.0 * np.pi * freqs * (np.arange(b0, b1)[:, None] * _BLOCK / SAMPLE_RATE) + phases
+    coef = np.concatenate([amps * np.cos(theta), -amps * np.sin(theta)], axis=1)
+    table = _modulator_table(source)
+    ridge = np.empty((b1 - b0, _BLOCK))
+    for row, c in zip(ridge, coef):
+        np.dot(c, table, out=row)
+    ridge = ridge.ravel()[n0 - b0 * _BLOCK : n1 - b0 * _BLOCK]
+    return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
+
+
 def _source_samples(source, render_seed, speaker_id, n0, n1):
     """Raw speech waveform samples ``[n0, n1)`` for one speaker."""
     carrier = _stream(
@@ -266,8 +299,7 @@ def _source_samples(source, render_seed, speaker_id, n0, n1):
         n1,
         lambda rng: rng.uniform(-1.0, 1.0, _BLOCK),
     )
-    t = np.arange(n0, n1) / SAMPLE_RATE
-    return source_envelope(source, t) * carrier
+    return _modulator(source, n0, n1) * carrier
 
 
 # ---------------------------------------------------------------------------
@@ -375,12 +407,16 @@ def render_binaural(scene, pose, t0, duration, seed):
         out[:, i0 - n0 : i1 - n0] += ears[:, _FILTER_MARGIN:]
 
     if scene.noise_level > 0:
-        out += scene.noise_level * _stream(
+        noise = _stream(
             (int(seed), _STREAM_NOISE),
             n0,
             n0 + n,
             lambda rng: rng.normal(0.0, 1.0, (2, _BLOCK)),
         )
+        # A level near the float limit overflows to inf here; the clip's
+        # finiteness check turns that into a DomainError.
+        with np.errstate(over="ignore"):
+            out += scene.noise_level * noise
     return BinauralClip(out)
 
 

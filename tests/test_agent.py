@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cocktail import agent as ag
+from cocktail import avsync
 from cocktail.agent import (
     ACTIONS,
     AgentConfig,
@@ -335,6 +336,99 @@ def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
         before = [clip for t0, clip in chunks if t0 < cap.time_s]
         audio = np.concatenate([clip.audio for clip in before], axis=1)
         assert np.array_equal(cap.audio, audio[:, -EVIDENCE_WINDOW_SAMPLES:])
+
+
+def test_run_episode_without_a_correlation_takes_no_envelope(monkeypatch):
+    # Speaker outside the fixation box and a zero table that holds still:
+    # 40 steps, none fixated, so no correlation ever reads an envelope.
+    calls = []
+    monkeypatch.setattr(ag, "analytic_envelope", lambda x: calls.append(x))
+    result = run_episode(single_speaker_scene(45.0, 0.0), HeadPose(0.0, 0.0),
+                         new_qtable(), config=FAST)
+    assert result.steps == FAST.max_steps and result.total_reward == 0.0
+    assert calls == []
+
+
+@pytest.mark.parametrize("window", [3, 4, 22])
+def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatch, window):
+    """Each correlation gets the window of the envelope taken of every
+    chunk on arrival, bit for bit, while only the chunks some window reads
+    are enveloped, each once."""
+    chunks, enveloped, calls = [], [], []
+
+    def recording_render(*args, **kwargs):
+        clip = render_binaural(*args, **kwargs)
+        chunks.append(clip.audio)
+        return clip
+
+    def recording_envelope(x):
+        enveloped.append(next(i for i, c in enumerate(chunks) if c is x))
+        return avsync.analytic_envelope(x)
+
+    def recording_correlation(*args, **kwargs):
+        result = avsync.correlate_min_p(*args, **kwargs)
+        calls.append((len(chunks), args, result[0]))
+        return result
+
+    monkeypatch.setattr(ag, "render_binaural", recording_render)
+    monkeypatch.setattr(ag, "analytic_envelope", recording_envelope)
+    monkeypatch.setattr(ag, "correlate_min_p", recording_correlation)
+    monkeypatch.setattr(AgentConfig, "corr_window_n", property(lambda self: window))
+    # A face in the right third of the view turns the head right, else it
+    # holds: with the speaker at 25 degrees that is two unfixated steps,
+    # then three fixated ones, each correlated.
+    qt = new_qtable()
+    for state in range(N_STATES):
+        if (state % 50) // 5 in (2, 5, 8):
+            qt.values[state, ACTIONS.index("right")] = 1.0
+    result = run_episode(single_speaker_scene(25.0, 0.0), HeadPose(0.0, 0.0), qt, config=FAST)
+    assert [step[1] for step in result.trajectory] == ["right"] * 3 + ["none"] * 2
+    assert result.success and len(calls) == 3
+
+    eager = [avsync.resample_envelope(avsync.analytic_envelope(c), 48_000, 10)
+             for c in chunks]
+    ends = np.cumsum([e.shape[1] for e in eager])
+    read = set()
+    for (n, (left, right, mouth), corr), step in zip(calls, result.trajectory[2:]):
+        env = np.concatenate(eager[:n], axis=1)[:, -window:]
+        assert np.array_equal(left, env[0]) and np.array_equal(right, env[1])
+        assert corr == avsync.correlate_min_p(env[0], env[1], mouth, window_n=window)[0]
+        assert step[2] == avsync.reward(True, corr).total
+        read |= {i for i in range(n) if ends[i] > ends[n - 1] - window}
+    assert enveloped == sorted(read)
+
+
+def test_envelope_window_keeps_at_most_the_window_plus_one_chunk():
+    """Fed chunks of any whole number of 10 Hz samples, the window keeps
+    chunks only while the newer ones fall short of ``window_n`` samples, and
+    its envelope is the eager one at every point."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=30, deadline=None, database=None)
+    @hyp.given(
+        window=st.integers(1, 30),
+        lengths=st.lists(st.integers(1, 8), min_size=1, max_size=12),
+        reads=st.lists(st.booleans(), min_size=12, max_size=12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(window, lengths, reads, seed):
+        rng = np.random.default_rng(seed)
+        win = ag.EnvelopeWindow(window)
+        eager = []
+        for n10, read in zip(lengths, reads):
+            chunk = rng.standard_normal((2, n10 * 4800))
+            eager.append(avsync.resample_envelope(avsync.analytic_envelope(chunk), 48_000, 10))
+            win.add(chunk)
+            kept = [c[0] for c in win._chunks]
+            total = sum(e.shape[1] for e in eager)
+            assert sum(kept) - kept[0] < window
+            assert sum(kept) >= min(window, total)
+            if read and total >= window:
+                expect = np.concatenate(eager, axis=1)[:, -window:]
+                assert np.array_equal(win.last(), expect)
+
+    check()
 
 
 def test_run_episode_breaking_fixation_terminates_as_failure():

@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cocktail import agent, cli, dataset, localizer
+from cocktail import agent, cli, dataset, frontend, localizer
+from cocktail import scene as sc
 from cocktail.errors import (
     DomainError,
     FormatError,
@@ -397,6 +398,19 @@ class TestSimulate:
         assert code == 2
         assert "error:" in err
 
+    def test_noise_that_overflows_exits_2_without_a_warning(self, tmp_path, capsys):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "duration_s": 0.1, "noise_level": 1e308,
+            "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0}],
+        }))
+        code, _, err = run_cli(
+            ["simulate", "--scene", str(path), "--out-dir", str(tmp_path)], capsys
+        )
+        assert code == 2
+        assert err.startswith("error:") and "non-finite" in err
+        assert "Warning" not in err
+
     def test_scene_as_long_as_a_wav_file_holds_parses(self, tmp_path):
         # 36 + 4 * frames <= 2**32 - 1 allows 1_073_741_814 stereo frames.
         limit = 1_073_741_814 / 48_000
@@ -617,6 +631,31 @@ class TestAttentionMap:
                           "posterior_peak"]
         assert len(rows) == 1
         assert float(rows[0][2]) <= 5.0
+
+    @pytest.mark.parametrize("duration", ["1e12", str(cli.MAX_ATTENTION_S + 1.0)])
+    def test_duration_beyond_the_bound_exits_2(self, tmp_path, capsys, duration):
+        code, _, err = run_cli(
+            ["attention-map", "--duration-s", duration, "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "at most 600 s" in err
+        assert not (tmp_path / "attention_map.csv").exists()
+
+    def test_rows_match_one_whole_clip_feed(self):
+        """The tracker reads the clip in slices and gets the posterior of
+        one feed of the whole clip."""
+        (row,) = cli.attention_map_rows([-20.0], 1.3, 0.003, 0.0, 5)
+        scene = sc.Scene(
+            speakers=(sc.SpeakerSpec(id=1, azimuth_world=-20.0, elevation_world=0.0,
+                                     speech=sc.SpeechSource(seed=6)),),
+            schedule=sc.TurnSchedule(((0.0, 1.3, 1),)),
+            noise_level=0.003,
+        )
+        audio = sc.render_binaural(scene, sc.HeadPose(0.0, 0.0), 0.0, 1.3, seed=5).audio
+        posterior = frontend.AzimuthTracker().feed(audio)
+        estimate = frontend.estimate_location(posterior)
+        assert row == (-20.0, estimate, abs(estimate + 20.0), float(posterior.probs.max()))
 
     def test_bad_azimuth_list_exits_2(self, tmp_path, capsys):
         code, _, err = run_cli(

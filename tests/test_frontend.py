@@ -355,6 +355,31 @@ def test_gammatone_stream_matches_oracle_at_any_chunking():
     check()
 
 
+def test_gammatone_stream_filters_into_a_buffer_view_bit_for_bit():
+    """``process(x, out=view)`` fills a slice of a larger band buffer with
+    what ``process(x)`` returns, chunk after chunk, and writes nothing else."""
+    x = np.random.default_rng(12).standard_normal((2, 9600))
+    fresh = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
+    inplace = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
+    for a, b, at in [(0, 4800, 0), (4800, 4801, 3), (4801, 9600, 17)]:
+        buffer = np.full((8, 2, 5000), np.nan)
+        view = buffer[:, :, at : at + b - a]
+        got = inplace.process(x[:, a:b], out=view)
+        assert got is view
+        assert np.array_equal(got, fresh.process(x[:, a:b]))
+        buffer[:, :, at : at + b - a] = np.nan
+        assert np.all(np.isnan(buffer))
+
+
+def test_gammatone_stream_rejects_an_out_array_it_cannot_fill():
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
+    x = np.zeros((2, 100))
+    for out in [np.empty((8, 2, 99)), np.empty((7, 2, 100)),
+                np.empty((8, 2, 100), dtype=np.float32), np.empty((8, 2, 200))[:, :, ::2]]:
+        with pytest.raises(DomainError):
+            stream.process(x, out=out)
+
+
 def test_gammatone_stream_rejects_empty_chunk():
     stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
     with pytest.raises(DomainError):

@@ -153,7 +153,7 @@ def test_render_rejects_bad_duration():
 
 def test_render_rejects_noise_that_overflows():
     scene = single_speaker_scene(0.0, noise=1e308)
-    with np.errstate(over="ignore"), pytest.raises(DomainError, match="non-finite"):
+    with pytest.raises(DomainError, match="non-finite"):
         sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.1, seed=1)
 
 
@@ -287,6 +287,45 @@ def test_mouth_jitter_is_seeded_per_ten_sample_block():
         times, noisy = sc.mouth_area_signal(spk, scene.schedule, k0 / 10, n / 10, seed=9)
         clean = spk.mouth_baseline + spk.mouth_gain * sc.source_envelope(spk.speech, times)
         assert np.array_equal(noisy, clean + mouth_jitter(spk, 9, k0, n))
+
+
+def test_phasor_modulator_matches_source_envelope():
+    """The render's block-phasor modulator is :func:`sc.source_envelope` at
+    sample times ``n / 48000``: spans before time zero, across block edges,
+    longer than 20 blocks, and near the longest scene a WAV file holds.
+
+    ``source_envelope`` rounds its phase ``2 pi f t + phi`` to a float, so
+    far from zero the reference itself is off by a few units in the last
+    place of that phase (about 1e-11 near the end of the longest scene, as a
+    40-digit evaluation shows for either form); the bound is 1e-12 plus two
+    such units."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    block = 4800
+    last = int(cli.MAX_SCENE_S * sc.SAMPLE_RATE)
+
+    @hyp.settings(max_examples=60, deadline=None, database=None)
+    @hyp.given(
+        seed=st.integers(0, 2**31 - 1),
+        band=st.tuples(st.floats(0.5, 15.0), st.floats(0.01, 1.0)),
+        start=st.one_of(
+            st.integers(-3 * block, 30 * block),
+            st.integers(last - 30 * block, last),
+            st.integers(-3, 3).map(lambda k: k * block),
+        ),
+        length=st.one_of(st.integers(1, 2 * block), st.integers(20 * block, 23 * block)),
+    )
+    def check(seed, band, start, length):
+        lo = band[0]
+        hi = lo + band[1] * (16.0 - lo)
+        source = sc.SpeechSource(seed=seed, modulation_band=(lo, hi))
+        got = sc._modulator(source, start, start + length)
+        times = np.arange(start, start + length) / sc.SAMPLE_RATE
+        phase = 2.0 * np.pi * (hi * np.max(np.abs(times)) + 1.0)
+        tol = 1e-12 + 2.0 * np.spacing(phase)
+        assert np.max(np.abs(got - sc.source_envelope(source, times))) <= tol
+
+    check()
 
 
 def test_envelope_in_band():
