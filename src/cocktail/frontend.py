@@ -14,15 +14,22 @@ summing the zero-padded frame segments over their full overlap::
     E(d) = sum_n (L[n + d/2] + R[n - d/2])^2
 
 Rather than materializing 37 delayed copies of every band, the energy is
-expanded algebraically: the squared terms reduce to two frame sums per band
-(signal energy and one-sample autocovariance, combined by the interpolation
-weights), and the cross term is gathered from one batched FFT
-cross-correlation per frame. The result matches brute-force delay-and-sum to
-rounding error, and channel swap maps exactly onto lag negation.
+expanded algebraically: the squared terms reduce to two frame sums (signal
+energy and one-sample autocovariance, combined by the interpolation
+weights), and the cross term is gathered from the frame's band-summed
+cross-correlation at a few dozen lags.  Frames of ``FRAME_S`` overlap by one
+``HOP_S`` hop, and every one of these sums over a frame splits into sums over
+its hops plus the few products that straddle a hop boundary inside it.  So
+each hop's sums are computed once, its cross-correlation by one batched FFT
+of hop length, and a frame adds those of its hops and the products within
+``max_lag + 2`` samples of each interior boundary.  The result matches
+brute-force delay-and-sum to rounding error, and channel swap maps exactly
+onto lag negation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -225,17 +232,48 @@ class BeamformerBank:
     """Delay-and-sum beamformers, one per :data:`AZIMUTH_BINS` bin.
 
     ``lags`` holds each bin's ITD in (fractional) samples; ``max_lag`` bounds
-    the integer padding needed for the cross-correlation.
+    the integer padding needed for the cross-correlation.  A beam samples the
+    left channel at ``n + lag/2`` and the right at ``n - lag/2`` by linear
+    interpolation, so its energy over a frame is a weighted sum of the
+    frame's sums: ``self_weights[c]`` weigh channel ``c``'s energy and
+    one-sample autocovariance, and ``cross_weights`` the cross-correlation
+    at lags ``shift``, ``shift - 1``, ``shift + 1`` and ``shift``, where
+    ``shift`` is the integer part of the lag between the two sample points.
     """
 
     lags: np.ndarray
     max_lag: int
+    shift: np.ndarray
+    self_weights: np.ndarray
+    cross_weights: np.ndarray
 
 
 @lru_cache(maxsize=1)
 def make_beamformer_bank():
     lags = np.array([itd_for_azimuth(a) for a in AZIMUTH_BINS]) * SAMPLE_RATE
-    return BeamformerBank(lags=lags, max_lag=int(np.ceil(np.max(np.abs(lags)))) + 2)
+    dl, dr = lags / 2.0, -lags / 2.0
+    il, ir = np.floor(dl).astype(int), np.floor(dr).astype(int)
+    wl, wr = dl - il, dr - ir
+    return BeamformerBank(
+        lags=lags,
+        max_lag=int(np.ceil(np.max(np.abs(lags)))) + 2,
+        shift=il - ir,
+        self_weights=np.array([[(1 - wl) ** 2 + wl**2, 2 * wl * (1 - wl)],
+                               [(1 - wr) ** 2 + wr**2, 2 * wr * (1 - wr)]]),
+        cross_weights=np.array([(1 - wl) * (1 - wr), (1 - wl) * wr, wl * (1 - wr), wl * wr]),
+    )
+
+
+def _frame_hops(frame_s):
+    """Number of ``HOP_S`` hops in a ``frame_s`` frame, or DomainError.
+
+    Frames step by one hop and are built from whole hops, so a frame must be
+    a positive whole number of them.
+    """
+    frame = frame_s * SAMPLE_RATE
+    if not math.isfinite(frame) or round(frame) < _HOP or round(frame) % _HOP:
+        raise DomainError(f"frame_s must be a whole number of {HOP_S} s hops, got {frame_s}")
+    return round(frame) // _HOP
 
 
 def beamform_salience(bands, frame_s):
@@ -243,75 +281,108 @@ def beamform_salience(bands, frame_s):
 
     ``bands`` holds stereo band signals, shape ``(num_bands, 2, n)`` as
     :meth:`GammatoneStream.process` returns them.  For every ``frame_s``
-    frame (at ``HOP_S`` spacing) and azimuth bin, the left bands are delayed
-    by the bin's ITD (linear interpolation for fractional lags) and summed
-    with the right bands; the energy summed over bands, clamped at zero
-    against rounding and normalized to the frame maximum, is the salience.
-    Silent frames yield all-zero rows.  Returns an array of shape
-    ``(n_frames, 37)``.
+    frame (a whole number of ``HOP_S`` hops, at ``HOP_S`` spacing) and
+    azimuth bin, the left bands are delayed by the bin's ITD (linear
+    interpolation for fractional lags) and summed with the right bands; the
+    energy summed over bands, clamped at zero against rounding and
+    normalized to the frame maximum, is the salience.  Silent frames yield
+    all-zero rows.  Returns an array of shape ``(n_frames, 37)``.
+
+    Every frame sum is built from per-hop pieces, each computed once however
+    many frames share the hop: a hop's energies, one-sample autocovariances
+    and band-summed cross-correlation at the read lags, plus, for each hop
+    boundary inside a frame, the products that straddle it.  A frame's row
+    depends only on its own samples, bit for bit, so beamforming a buffer
+    in one call or frame by frame gives the same rows; a one-hop frame has
+    no boundary and its sums are the hop's own.
     """
 
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 3 or bands.shape[1] != 2:
         raise DomainError(f"bands must have shape (num_bands, 2, n), got {bands.shape}")
     nb, _, n = bands.shape
-    frame = int(round(frame_s * SAMPLE_RATE))
-    if frame > n:
+    per = _frame_hops(frame_s)
+    if per * _HOP > n:
         raise DomainError("frame longer than signal")
+    n_frames = (n - per * _HOP) // _HOP + 1
+    n_hops = n_frames + per - 1
 
     bank = make_beamformer_bank()
-    k = bank.max_lag
-    # Steering: left sampled at n + lag/2, right at n - lag/2.
-    dl, dr = bank.lags / 2.0, -bank.lags / 2.0
-    il, ir = np.floor(dl).astype(int), np.floor(dr).astype(int)
-    wl, wr = dl - il, dr - ir
-    q = il - ir  # integer part of the total lag between the two shifts
+    k0 = bank.max_lag + 1
+    # A row of terms holds the cross-correlation cc[k0 + q] = sum_b sum_n
+    # L_b[n + q] R_b[n] at the 2w read lags q in [-k0, k0 + 1], then the
+    # four sums of the squared terms: left energy, left one-sample
+    # autocovariance, and the same for the right.
+    # The energy summed over bands is linear in each band's sums, so every
+    # term is summed over bands first.  Full-overlap sums of the
+    # interpolated shifted squares are independent of the integer part of
+    # the shift: they need only the energy and the one-sample autocovariance.
+    w = k0 + 1
+    hop_terms = np.empty((n_hops, 2 * w + 4))
 
-    starts = np.arange(0, n - frame + 1, _HOP)
-    # The FFT correlation is only read at lag indices 0 .. 2k + 3; an FFT
-    # length of frame + 2k + 4 keeps every read free of circular aliasing
+    # The FFT correlation is read at lag indices 0 .. 2k0 + 1 only; an FFT
+    # length of hop + 2k0 + 2 keeps every read free of circular aliasing
     # (the wrapped tail of the correlation stays beyond the read range).
-    m = sfft.next_fast_len(frame + 2 * k + 4, real=True)
+    m = sfft.next_fast_len(_HOP + 2 * w, real=True)
     # Both channels share one transform buffer: rows 0..nb-1 hold L shifted
-    # right by k0, rows nb.. hold R.  Each frame overwrites only those
-    # spans, so the zero padding around them is laid down once per call.
-    k0 = k + 1
+    # right by k0, rows nb.. hold R.  Each hop overwrites only those spans,
+    # so the zero padding around them is laid down once per call.
     stacked = np.zeros((2 * nb, m))
-    salience = np.zeros((len(starts), len(AZIMUTH_BINS)))
-    for fi, s0 in enumerate(starts):
-        lf = bands[:, 0, s0 : s0 + frame]
-        rf = bands[:, 1, s0 : s0 + frame]
-
-        # The energy summed over bands is linear in each band's sums, so
-        # every term is summed over bands first.  Full-overlap sums of the
-        # interpolated shifted squares are independent of the integer part
-        # of the shift: they need only the frame energy and the one-sample
-        # autocovariance.
-        sa_l, sb_l = np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:])
-        sa_r, sb_r = np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:])
-        s_ll = ((1 - wl) ** 2 + wl**2) * sa_l + 2 * wl * (1 - wl) * sb_l
-        s_rr = ((1 - wr) ** 2 + wr**2) * sa_r + 2 * wr * (1 - wr) * sb_r
-
-        # Cross term via the band-summed cross-spectrum and one inverse FFT:
-        # cc[k0 + q] = sum_b sum_n L_b[n + q] R_b[n] for q in [-k0, k0 + 1].
-        stacked[:nb, k0 : k0 + frame] = lf
-        stacked[nb:, :frame] = rf
+    for h in range(n_hops):
+        lf = bands[:, 0, h * _HOP : (h + 1) * _HOP]
+        rf = bands[:, 1, h * _HOP : (h + 1) * _HOP]
+        hop_terms[h, 2 * w :] = (
+            np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:]),
+            np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:]),
+        )
+        stacked[:nb, k0 : k0 + _HOP] = lf
+        stacked[nb:, :_HOP] = rf
         spec = sfft.rfft(stacked, axis=1)
         cross = (spec[:nb] * np.conj(spec[nb:])).sum(axis=0)
-        # Free the spectra as soon as they are used, so a many-frame call
-        # needs one frame's scratch memory rather than two.
+        # Free the spectra as soon as they are used, so a many-hop call
+        # needs one hop's scratch memory rather than two.
         del spec
-        cc = sfft.irfft(cross, m)[: 2 * k0 + 2]
-        s_lr = ((1 - wl) * (1 - wr) * cc[k0 + q]
-                + (1 - wl) * wr * cc[k0 + q - 1]
-                + wl * (1 - wr) * cc[k0 + q + 1]
-                + wl * wr * cc[k0 + q])
+        hop_terms[h, : 2 * w] = sfft.irfft(cross, m)[: 2 * w]
 
-        total = np.maximum(s_ll + 2.0 * s_lr + s_rr, 0.0)
-        peak = total.max()
-        if peak > 0:
-            salience[fi] = total / peak
-    return salience
+    # Products across the boundary c between two hops of one frame: L at
+    # n + q and R at n on opposite sides of c, all within w samples of it.
+    # In the (2w, 2w) band-summed product of the two channels' windows
+    # around c, entry (i, j) pairs L[c - w + i] with R[c - w + j], lag
+    # i - j; the straddling entries in the read range go to their slot and
+    # every other entry to a discarded one.
+    edge_terms = np.zeros((n_hops - 1, 2 * w + 4))
+    if per > 1:
+        i, j = np.indices((2 * w, 2 * w))
+        slot = k0 + i - j
+        slot[((i < w) == (j < w)) | (slot < 0) | (slot >= 2 * w)] = 2 * w
+        slot = slot.ravel()
+        for e, c in enumerate(range(_HOP, n_hops * _HOP, _HOP)):
+            # A contiguous copy gives every call the same operand layout, so
+            # the product rounds the same whatever buffer the window is in.
+            lw, rw = np.ascontiguousarray(bands[:, :, c - w : c + w].transpose(1, 2, 0))
+            cross = (lw @ rw.T).ravel()
+            edge_terms[e, : 2 * w] = np.bincount(slot, weights=cross, minlength=2 * w + 1)[: 2 * w]
+            edge_terms[e, 2 * w + 1] = (lw[w - 1] * lw[w]).sum()
+            edge_terms[e, 2 * w + 3] = (rw[w - 1] * rw[w]).sum()
+
+    # Each frame's sums, added hop by hop in the same order for every frame.
+    sums = hop_terms[:n_frames]
+    for h in range(1, per):
+        sums = sums + edge_terms[h - 1 : h - 1 + n_frames] + hop_terms[h : h + n_frames]
+    cc = sums[:, : 2 * w]
+    sa_l, sb_l, sa_r, sb_r = sums.T[2 * w :, :, None]
+
+    (a_l, b_l), (a_r, b_r) = bank.self_weights
+    c0, cm, cp, c1 = bank.cross_weights
+    at = k0 + bank.shift
+    mid = cc[:, at]
+    s_ll = a_l * sa_l + b_l * sb_l
+    s_rr = a_r * sa_r + b_r * sb_r
+    s_lr = c0 * mid + cm * cc[:, at - 1] + cp * cc[:, at + 1] + c1 * mid
+
+    total = np.maximum(s_ll + 2.0 * s_lr + s_rr, 0.0)
+    peak = total.max(axis=1, keepdims=True)
+    return np.divide(total, peak, out=np.zeros_like(total), where=peak > 0)
 
 
 # ---------------------------------------------------------------------------
@@ -387,21 +458,19 @@ class AzimuthTracker:
 
     Each :meth:`feed` filters the chunk with a :class:`GammatoneStream`
     straight into one band buffer, behind the band samples kept from earlier
-    feeds; beamforms every ``frame_s`` frame (at ``HOP_S`` spacing) that the
-    buffer now holds in one batched :func:`beamform_salience` call; and folds
-    the rows into the posterior in order.  Only the band samples the next
-    frame still needs are kept, shorter than one frame, at the front of the
-    buffer, which grows to the longest feed and is reused after that.
-    Feeding a signal in any chunking gives the same posterior as one feed of
-    the whole signal.
+    feeds; beamforms every ``frame_s`` frame (a whole number of ``HOP_S``
+    hops, at ``HOP_S`` spacing) that the buffer now holds in one
+    :func:`beamform_salience` call; and folds the rows into the posterior
+    in order.  Only the band samples the next frame still needs are kept,
+    shorter than one frame, at the front of the buffer, which grows to the
+    longest feed and is reused after that.  Feeding a signal in any chunking
+    gives the same posterior as one feed of the whole signal.
     """
 
     def __init__(self, num_bands=NUM_BANDS, frame_s=FRAME_S):
-        if not frame_s >= HOP_S:
-            raise DomainError(f"frame_s must be at least the {HOP_S} s hop, got {frame_s}")
+        self._frame = _frame_hops(frame_s) * _HOP
         self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands))
         self.frame_s = frame_s
-        self._frame = int(round(frame_s * SAMPLE_RATE))
         self._bands = np.zeros((num_bands, 2, 0))
         self._kept = 0
         self.posterior = uniform_posterior()

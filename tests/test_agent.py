@@ -308,6 +308,20 @@ def test_run_episode_already_fixating_succeeds_in_hold_steps():
     assert all(step[1] == "none" for step in result.trajectory)
 
 
+def test_full_fidelity_episode_already_fixating_succeeds_in_hold_steps():
+    # The default config is full fidelity: 32 bands, 0.2 s frames of two
+    # hops, 0.5 s steps.
+    scene = single_speaker_scene(0.0, 0.0)
+    result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=AgentConfig())
+    assert result.success
+    assert result.steps == 3
+    assert len(result.trajectory) == result.steps
+    assert all(step[1] == "none" for step in result.trajectory)
+    assert [step[2] for step in result.trajectory] == pytest.approx([1.0] * 3)
+    assert result.final_pose == HeadPose(0.0, 0.0)
+    assert [(c.pan_deg, c.tilt_deg) for c in result.captures] == [(0.0, 0.0)]
+
+
 def test_run_episode_captures_initial_pose_evidence():
     scene = single_speaker_scene(0.0, 0.0)
     result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=FAST)

@@ -142,16 +142,16 @@ def test_beamform_matches_bruteforce_oracle():
 
 
 def test_beamform_matches_bruteforce_on_generated_signals():
-    """Band counts 1-4, one to three frames of 0.1 or 0.2 s plus a partial
-    hop, random band signals over twelve decades of gain, and silent
-    channels or bands."""
+    """Band counts 1-4, one to three frames of 0.1, 0.2 or 0.3 s (up to two
+    hop boundaries inside a frame) plus a partial hop, random band signals
+    over twelve decades of gain, and silent channels or bands."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=25, deadline=None, database=None)
     @hyp.given(
         num_bands=st.integers(1, 4),
-        frame_s=st.sampled_from([0.1, 0.2]),
+        frame_s=st.sampled_from([0.1, 0.2, 0.3]),
         frames=st.integers(1, 3),
         tail=st.integers(0, 4799),
         seed=st.integers(0, 2**32 - 1),
@@ -173,6 +173,60 @@ def test_beamform_matches_bruteforce_on_generated_signals():
         fast = fe.beamform_salience(bands, frame_s)
         assert fast.shape == (frames, 37)
         np.testing.assert_allclose(fast, bruteforce_salience(bands, frame_s), rtol=0, atol=1e-10)
+
+    check()
+
+
+@pytest.mark.parametrize("frame_s, frames", [(0.2, 1), (0.2, 3), (0.3, 2)])
+def test_beamform_adds_the_products_across_hop_boundaries(frame_s, frames):
+    """Band signals that are zero except within ``max_lag + 2`` samples of
+    each hop boundary, where for every read lag an impulse pair straddles
+    the boundary: left at ``n + q`` on one side, right at ``n`` on the
+    other (lag 0 cannot straddle).  Dropping those products, or pairing
+    them one sample off, moves the salience far beyond the tolerance."""
+    hop = int(round(fe.HOP_S * sc.SAMPLE_RATE))
+    k0 = fe.make_beamformer_bank().max_lag + 1
+    n = int(round(frame_s * sc.SAMPLE_RATE)) + (frames - 1) * hop
+    rng = np.random.default_rng(frames)
+    bands = np.zeros((3, 2, n))
+    for c in range(hop, n, hop):
+        for b in range(3):
+            for q in [*range(-k0, 0), *range(1, k0 + 2)]:
+                a = int(rng.integers(min(q, 0), max(q, 0)))
+                bands[b, 0, c + a] += rng.standard_normal()
+                bands[b, 1, c + a - q] += rng.standard_normal()
+    assert not bands[:, :, hop + k0 + 2 : 2 * hop - k0 - 2].any()
+    fast = fe.beamform_salience(bands, frame_s)
+    assert fast.shape == (frames, 37)
+    np.testing.assert_allclose(fast, bruteforce_salience(bands, frame_s), rtol=0, atol=1e-10)
+
+
+def test_beamform_row_depends_on_its_frame_only():
+    """Beamforming a buffer of 1-6 frames in one call gives, bit for bit,
+    the rows of beamforming each frame's own samples (copied out, so laid
+    out differently in memory).  The streaming tracker relies on it: how
+    its feeds split the signal must not change the posterior."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=25, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.integers(1, 32),
+        frame_s=st.sampled_from([0.1, 0.2, 0.3]),
+        frames=st.integers(1, 6),
+        tail=st.integers(0, 4799),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(num_bands, frame_s, frames, tail, seed):
+        hop = int(round(fe.HOP_S * sc.SAMPLE_RATE))
+        frame = int(round(frame_s * sc.SAMPLE_RATE))
+        n = frame + (frames - 1) * hop + tail
+        bands = np.random.default_rng(seed).standard_normal((num_bands, 2, n))
+        whole = fe.beamform_salience(bands, frame_s)
+        assert whole.shape == (frames, 37)
+        for f, row in enumerate(whole):
+            own = bands[:, :, f * hop : f * hop + frame].copy()
+            assert np.array_equal(fe.beamform_salience(own, frame_s), row[None])
 
     check()
 
@@ -438,6 +492,16 @@ def test_tracker_rejects_hop_longer_than_frame():
     for frame_s in (0.05, 0.0, float("nan")):
         with pytest.raises(DomainError):
             fe.AzimuthTracker(8, frame_s=frame_s)
+
+
+@pytest.mark.parametrize("frame_s", [0.15, 0.25, 0.1 + 1e-4, -0.1, float("inf")])
+def test_beamform_and_tracker_reject_frames_off_the_hop_grid(frame_s):
+    """A frame is a whole number of ``HOP_S`` hops; a frame of 1.5 hops
+    would be cut into pieces that miss or repeat samples."""
+    with pytest.raises(DomainError):
+        fe.beamform_salience(np.ones((2, 2, 48_000)), frame_s)
+    with pytest.raises(DomainError):
+        fe.AzimuthTracker(8, frame_s=frame_s)
 
 
 def test_tracker_reuses_one_band_buffer():
