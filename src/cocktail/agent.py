@@ -31,12 +31,13 @@ and the simulator's noise streams all derive from explicit integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from . import frontend
 from .avsync import analytic_envelope, correlate_min_p, resample_envelope, reward
-from .dataset import EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer
+from .dataset import EVIDENCE_WINDOW_S, EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer
 from .errors import DomainError, FormatError, InputError
 from .fuzzy import classify, term_index
 from .scene import (
@@ -77,8 +78,9 @@ FIXATION_HOLD_STEPS = 3
 MAX_EPISODE_STEPS = 60
 FAST_MAX_EPISODE_STEPS = 40
 
-#: Audio rendered at the initial pose before the first step, so the evidence
-#: window is full and the posterior is warmed up when the episode starts.
+#: Audio heard at the initial pose before the first step, so the evidence
+#: window is full and the posterior is warmed up when the episode starts;
+#: :func:`run_episode` renders its head only if a correlation reads it.
 PREROLL_S = 2.0
 
 #: Background noise level for sampled training/evaluation scenes.
@@ -257,23 +259,29 @@ class EnvelopeWindow:
     """The 10 Hz binaural envelope of an episode's newest ``window_n``
     samples, taken only when a correlation reads it.
 
-    :meth:`add` keeps each rendered ``(2, n)`` chunk as raw audio, ``n`` a
-    whole number of 10 Hz samples, and drops the oldest chunk as soon as
-    the newer ones alone cover the window, so fewer than ``window_n`` plus
-    one chunk's samples are ever kept.  :meth:`last` replaces each chunk
-    it reads by that chunk's 10 Hz envelope, once, with the same
+    :meth:`add` keeps each chunk, ``n`` a whole number of 10 Hz samples,
+    either as its rendered ``(2, n)`` audio or as a function that renders
+    that audio when a correlation first reads the chunk.  It drops the
+    oldest chunk as soon as the newer ones alone cover the window, so fewer
+    than ``window_n`` plus one chunk's samples are ever kept, and a chunk
+    dropped unread is never rendered.  :meth:`last` replaces each chunk it
+    reads by that chunk's 10 Hz envelope, once, with the same
     :func:`analytic_envelope` and :func:`resample_envelope` calls on the
-    same chunk as enveloping every chunk on arrival would make, so the
+    same audio as enveloping every chunk on arrival would make, so the
     result is the same bit for bit.  A chunk no correlation reads is never
     enveloped.
     """
 
     def __init__(self, window_n: int):
         self.window_n = window_n
-        self._chunks: list[list] = []  # [10 Hz samples, array, enveloped?]
+        self._chunks: list[list] = []  # [10 Hz samples, audio or its renderer, enveloped?]
 
-    def add(self, stereo: np.ndarray) -> None:
-        self._chunks.append([stereo.shape[1] * MOUTH_RATE_HZ // SAMPLE_RATE, stereo, False])
+    def add(self, audio, n10: int | None = None) -> None:
+        """Keep a ``(2, n)`` chunk, or a function rendering one ``n10``
+        10 Hz samples long on first read."""
+        if n10 is None:
+            n10 = audio.shape[1] * MOUTH_RATE_HZ // SAMPLE_RATE
+        self._chunks.append([n10, audio, False])
         while sum(c[0] for c in self._chunks[1:]) >= self.window_n:
             del self._chunks[0]
 
@@ -281,9 +289,16 @@ class EnvelopeWindow:
         """The ``(2, window_n)`` envelope of the newest ``window_n`` samples."""
         for chunk in self._chunks:
             if not chunk[2]:
-                env = analytic_envelope(chunk[1])
+                audio = chunk[1]() if callable(chunk[1]) else chunk[1]
+                env = analytic_envelope(audio)
                 chunk[1:] = resample_envelope(env, SAMPLE_RATE, MOUTH_RATE_HZ), True
         return np.concatenate([c[1] for c in self._chunks], axis=1)[:, -self.window_n :]
+
+
+def _preroll_audio(scene: Scene, pose: HeadPose, tail: np.ndarray, seed: int) -> np.ndarray:
+    """The whole pre-roll at ``pose``: its head, rendered now, then ``tail``."""
+    head = render_binaural(scene, pose, 0.0, PREROLL_S - EVIDENCE_WINDOW_S, seed=seed).audio
+    return np.concatenate([head, tail], axis=1)
 
 
 @dataclass(frozen=True)
@@ -315,18 +330,23 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one fixation episode; optionally update ``qtable`` in place.
 
-    The loop alternates observe / act / listen: the agent encodes its state
-    from the current posterior, visuals and pan; possibly snapshots evidence
-    (the recent audio window was rendered at the pre-action pose, keeping
-    captures pose-consistent); picks an action; renders the next
+    The episode opens with a ``PREROLL_S`` pre-roll at the initial pose.
+    Only its last ``EVIDENCE_WINDOW_S`` is rendered up front: it warms up
+    the posterior and fills the evidence window.  The head before it is
+    rendered when a correlation first reads the pre-roll's envelope, once,
+    and never if none does (:class:`EnvelopeWindow`).  The pre-roll's mouth
+    samples are taken whole at the start.
+
+    The loop then alternates observe / act / listen: the agent encodes its
+    state from the current posterior, visuals and pan; possibly snapshots
+    evidence (the recent audio window was rendered at the pre-action pose,
+    keeping captures pose-consistent); picks an action; renders the next
     ``config.step_s`` of audio at the new pose; and scores the step with the
     audio-visual reward.  The binaural envelope that reward correlates with
     the mouth is taken only of the chunks a correlation reads, when it first
-    reads them (:class:`EnvelopeWindow`).  Success is three consecutive
-    fixated steps;
-    breaking an acquired fixation ends the episode in failure (one
-    attention event per episode, so boundary oscillation cannot outvalue
-    holding).
+    reads them.  Success is three consecutive fixated steps; breaking an
+    acquired fixation ends the episode in failure (one attention event per
+    episode, so boundary oscillation cannot outvalue holding).
     """
     if config is None:
         config = AgentConfig()
@@ -336,30 +356,30 @@ def run_episode(
         raise DomainError("run_episode requires a single-speaker scene")
     _validate_qtable(qtable)
     speaker = scene.speakers[0]
-    fs = SAMPLE_RATE
 
     tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s)
     evidence = EvidenceBuffer()
     recent = np.zeros((2, 0))
     env = EnvelopeWindow(config.corr_window_n)
-    mouth = np.zeros(0)
     pose = init_pose
 
-    def ingest(t0: float, duration: float, analyze_tail_s: float | None = None):
-        """Render, buffer, and analyze ``[t0, t0 + duration)`` at `pose`."""
-        nonlocal recent, mouth
+    def listen(t0: float, duration: float) -> None:
+        """Render ``[t0, t0 + duration)`` at `pose`; buffer and analyze it.
+
+        The envelope window keeps a step's audio as it is, and in place of
+        the pre-roll's tail a renderer of the whole pre-roll (head, then this
+        tail) that runs only if a correlation reads it."""
+        nonlocal recent
         stereo = render_binaural(scene, pose, t0, duration, seed=render_seed).audio
         # Trimming the chunk first bounds what the kept slice holds alive.
         recent = np.concatenate(
             [recent, stereo[:, -EVIDENCE_WINDOW_SAMPLES:]], axis=1
         )[:, -EVIDENCE_WINDOW_SAMPLES:]
-        env.add(stereo)
-        _, areas = mouth_area_signal(
-            speaker, scene.schedule, t0, duration, seed=render_seed
-        )
-        mouth = np.concatenate([mouth, areas])
-        if analyze_tail_s is not None:
-            stereo = stereo[:, -int(round(analyze_tail_s * fs)) :]
+        if t0 < PREROLL_S:
+            env.add(partial(_preroll_audio, scene, pose, stereo, render_seed),
+                    n10=round(PREROLL_S * MOUTH_RATE_HZ))
+        else:
+            env.add(stereo)  # first, so a chunk it drops is freed before the frontend runs
         tracker.feed(stereo)
 
     def observe() -> int:
@@ -370,10 +390,10 @@ def run_episode(
                 face = (gx, gy)
         return encode_state(loc, face, pose.pan)
 
-    # Pre-roll at the initial pose.  The whole stretch feeds the evidence
-    # window and the envelopes; only the final evidence-window span runs
-    # through the (costly) frontend to warm up the posterior.
-    ingest(0.0, PREROLL_S, analyze_tail_s=min(PREROLL_S, 0.5))
+    # Pre-roll at the initial pose.  Only its final evidence-window span is
+    # rendered now: it warms up the posterior and fills the evidence window.
+    listen(PREROLL_S - EVIDENCE_WINDOW_S, EVIDENCE_WINDOW_S)
+    _, mouth = mouth_area_signal(speaker, scene.schedule, 0.0, PREROLL_S, seed=render_seed)
 
     total_reward = 0.0
     hold = 0
@@ -386,7 +406,9 @@ def run_episode(
         evidence.maybe_capture(t, tracker.posterior, recent, pose)
         action = select_action(qtable.values[state], epsilon, rng)
         pose = step_head(pose, ACTIONS[action])
-        ingest(t, config.step_s)
+        listen(t, config.step_s)
+        _, areas = mouth_area_signal(speaker, scene.schedule, t, config.step_s, seed=render_seed)
+        mouth = np.concatenate([mouth, areas])
         fixated = is_fixated(pose, speaker.azimuth_world, speaker.elevation_world)
         broken = hold > 0 and not fixated
         hold = hold + 1 if fixated else 0

@@ -302,6 +302,7 @@ def test_criterion_6_envelope_of_sine_within_one_percent():
 # Criterion 7 — trained head control beats the random baseline
 
 
+@pytest.mark.slow
 def test_criterion_7_trained_policy_beats_random_baseline(trained_rl):
     greedy = trained_rl["greedy"]
     random_ = trained_rl["random"]
@@ -315,6 +316,7 @@ def test_criterion_7_trained_policy_beats_random_baseline(trained_rl):
     assert trained_rl["elapsed_s"] < 300.0
 
 
+@pytest.mark.slow
 def test_trained_policy_pans_monotonically_toward_far_right_source(trained_rl):
     result = agent.run_episode(
         single_speaker_scene(60.0, 0.0),
@@ -337,6 +339,7 @@ def test_trained_policy_pans_monotonically_toward_far_right_source(trained_rl):
 # Criterion 8 — harvested labels stay within tolerance of ground truth
 
 
+@pytest.mark.slow
 def test_criterion_8_dataset_labels_within_15_degrees(trained_rl):
     t0 = time.perf_counter()
     records, stats = dataset.build_dataset(
@@ -352,6 +355,7 @@ def test_criterion_8_dataset_labels_within_15_degrees(trained_rl):
 # Criterion 9 — localizer accuracy, gradients, and reference loss
 
 
+@pytest.mark.slow
 def test_criterion_9_localizer_accuracy_gradients_and_uniform_loss(
     harvested_records, zero_model,
 ):
@@ -406,6 +410,7 @@ def test_criterion_9_localizer_accuracy_gradients_and_uniform_loss(
 # Criterion 10 — the fast pipeline is byte-reproducible
 
 
+@pytest.mark.slow
 def test_criterion_10_fast_pipeline_is_byte_reproducible(tmp_path, capsys):
     out_first = tmp_path / "first"
     out_second = tmp_path / "second"

@@ -332,23 +332,28 @@ def test_run_episode_captures_initial_pose_evidence():
     assert cap.posterior_peak >= 0.25
 
 
-def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
-    # The speaker sits outside the fixation box and the zero table holds
-    # still, so the episode runs all 40 steps and captures at 2 s and 4 s.
-    chunks = []
+def recording_renders(monkeypatch):
+    """Route the agent's renders through a recorder of ``(t0, audio)``."""
+    renders = []
 
     def recording_render(*args, **kwargs):
         clip = render_binaural(*args, **kwargs)
-        chunks.append((args[2], clip))
+        renders.append((args[2], clip.audio))
         return clip
 
     monkeypatch.setattr(ag, "render_binaural", recording_render)
+    return renders
+
+
+def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
+    # The speaker sits outside the fixation box and the zero table holds
+    # still, so the episode runs all 40 steps and captures at 2 s and 4 s.
+    renders = recording_renders(monkeypatch)
     scene = single_speaker_scene(45.0, 0.0)
     result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=FAST)
     assert [cap.time_s for cap in result.captures] == [2.0, 4.0]
     for cap in result.captures:
-        before = [clip for t0, clip in chunks if t0 < cap.time_s]
-        audio = np.concatenate([clip.audio for clip in before], axis=1)
+        audio = np.concatenate([a for t0, a in renders if t0 < cap.time_s], axis=1)
         assert np.array_equal(cap.audio, audio[:, -EVIDENCE_WINDOW_SAMPLES:])
 
 
@@ -363,28 +368,74 @@ def test_run_episode_without_a_correlation_takes_no_envelope(monkeypatch):
     assert calls == []
 
 
+def test_run_episode_without_a_correlation_renders_only_the_preroll_tail_and_steps(
+    monkeypatch,
+):
+    # Speaker outside the fixation box and a zero table that holds still:
+    # 40 unfixated steps, so nothing reads the pre-roll's head.
+    renders = recording_renders(monkeypatch)
+    result = run_episode(single_speaker_scene(45.0, 0.0), HeadPose(0.0, 0.0),
+                         new_qtable(), config=FAST)
+    assert result.steps == FAST.max_steps
+    assert sum(audio.shape[1] for _, audio in renders) == 24_000 + 4_800 * result.steps
+    assert all(t0 > 0 for t0, _ in renders)
+
+
+def eager_envelopes(chunks):
+    """The 10 Hz envelope of each chunk, taken on its own."""
+    return [avsync.resample_envelope(avsync.analytic_envelope(c), 48_000, 10) for c in chunks]
+
+
+def test_run_episode_reading_the_preroll_renders_its_head_once(monkeypatch):
+    """A window one sample longer than the pre-roll reads it on every
+    fixated step: its head is rendered once, at the first read, and each
+    correlation sees the envelope of head plus tail taken as one chunk."""
+    renders = recording_renders(monkeypatch)
+    calls = []
+
+    def recording_correlation(*args, **kwargs):
+        calls.append(args[:2])
+        return avsync.correlate_min_p(*args, **kwargs)
+
+    monkeypatch.setattr(ag, "correlate_min_p", recording_correlation)
+    monkeypatch.setattr(AgentConfig, "corr_window_n", property(lambda self: 21))
+    scene = single_speaker_scene(0.0, 0.0)
+    result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=FAST)
+    assert result.success and len(calls) == result.steps == 3
+
+    assert [t0 for t0, _ in renders] == [1.5, 2.0, 0.0, 2.1, 2.2]
+    assert sum(audio.shape[1] for _, audio in renders) == 96_000 + 4_800 * result.steps
+    head = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, 1.5, seed=0).audio
+    assert np.array_equal(renders[2][1], head)
+    chunks = [np.concatenate([head, renders[0][1]], axis=1)]
+    chunks += [audio for t0, audio in renders if t0 >= ag.PREROLL_S]
+    eager = eager_envelopes(chunks)
+    for k, (left, right) in enumerate(calls):
+        env = np.concatenate(eager[: k + 2], axis=1)[:, -21:]
+        assert np.array_equal(left, env[0]) and np.array_equal(right, env[1])
+
+
 @pytest.mark.parametrize("window", [3, 4, 22])
 def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatch, window):
     """Each correlation gets the window of the envelope taken of every
     chunk on arrival, bit for bit, while only the chunks some window reads
-    are enveloped, each once."""
-    chunks, enveloped, calls = [], [], []
+    are enveloped, each once.  The chunks are the pre-roll, its deferred
+    head and its tail as one, then one per step."""
+    renders = recording_renders(monkeypatch)
+    enveloped, calls = [], []
 
-    def recording_render(*args, **kwargs):
-        clip = render_binaural(*args, **kwargs)
-        chunks.append(clip.audio)
-        return clip
+    def steps():
+        return [audio for t0, audio in renders if t0 >= ag.PREROLL_S]
 
     def recording_envelope(x):
-        enveloped.append(next(i for i, c in enumerate(chunks) if c is x))
+        enveloped.append((next((i + 1 for i, c in enumerate(steps()) if c is x), 0), x))
         return avsync.analytic_envelope(x)
 
     def recording_correlation(*args, **kwargs):
         result = avsync.correlate_min_p(*args, **kwargs)
-        calls.append((len(chunks), args, result[0]))
+        calls.append((1 + len(steps()), args, result[0]))
         return result
 
-    monkeypatch.setattr(ag, "render_binaural", recording_render)
     monkeypatch.setattr(ag, "analytic_envelope", recording_envelope)
     monkeypatch.setattr(ag, "correlate_min_p", recording_correlation)
     monkeypatch.setattr(AgentConfig, "corr_window_n", property(lambda self: window))
@@ -395,12 +446,14 @@ def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatc
     for state in range(N_STATES):
         if (state % 50) // 5 in (2, 5, 8):
             qt.values[state, ACTIONS.index("right")] = 1.0
-    result = run_episode(single_speaker_scene(25.0, 0.0), HeadPose(0.0, 0.0), qt, config=FAST)
+    scene = single_speaker_scene(25.0, 0.0)
+    result = run_episode(scene, HeadPose(0.0, 0.0), qt, config=FAST)
     assert [step[1] for step in result.trajectory] == ["right"] * 3 + ["none"] * 2
     assert result.success and len(calls) == 3
 
-    eager = [avsync.resample_envelope(avsync.analytic_envelope(c), 48_000, 10)
-             for c in chunks]
+    head = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, 1.5, seed=0).audio
+    chunks = [np.concatenate([head, renders[0][1]], axis=1)] + steps()
+    eager = eager_envelopes(chunks)
     ends = np.cumsum([e.shape[1] for e in eager])
     read = set()
     for (n, (left, right, mouth), corr), step in zip(calls, result.trajectory[2:]):
@@ -409,7 +462,8 @@ def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatc
         assert corr == avsync.correlate_min_p(env[0], env[1], mouth, window_n=window)[0]
         assert step[2] == avsync.reward(True, corr).total
         read |= {i for i in range(n) if ends[i] > ends[n - 1] - window}
-    assert enveloped == sorted(read)
+    assert [i for i, _ in enveloped] == sorted(read)
+    assert all(np.array_equal(x, chunks[i]) for i, x in enveloped)
 
 
 def test_envelope_window_keeps_at_most_the_window_plus_one_chunk():

@@ -109,6 +109,63 @@ def test_render_streaming_consistency():
     np.testing.assert_allclose(audio, whole.audio, atol=1e-10)
 
 
+def test_render_from_zero_is_a_prefix_and_a_later_start_agrees_to_rounding():
+    """A render from time zero is a bit-exact prefix of any longer render
+    from zero.  A render from a later time on the 0.1 s grid matches the
+    same span of the longer render to within four units in the last place
+    of its peak.  Only the notch filter differs, restarted from zero state
+    ``_FILTER_MARGIN`` samples early.  That warm-up decays below rounding
+    wherever no speaker sits more than 15 degrees below the head's tilt
+    (every pose a sampled episode starts from), and the notch's recursion
+    (an l1 gain of at most 6.4 there) then adds up at most a few roundings;
+    1 500 sampled scenes differed by at most two units.  Scenes mix one or
+    two speakers, a turn change on the grid, and spans across the
+    power-of-two sample indices where a position measured from before time
+    zero would round differently."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        speakers=st.lists(
+            st.tuples(st.floats(-90, 90), st.floats(0, 1), st.integers(0, 2**31 - 1)),
+            min_size=1, max_size=2,
+        ),
+        pan=st.floats(-80, 80),
+        tilt=st.floats(-30, 30),
+        noise=st.sampled_from([0.0, 0.01]),
+        seed=st.integers(0, 2**31 - 1),
+        turn10=st.integers(1, 40),
+        length10=st.integers(2, 40),
+        split=st.floats(0, 1, exclude_max=True),
+    )
+    def check(speakers, pan, tilt, noise, seed, turn10, length10, split):
+        # Elevations from 15 degrees below the tilt up to the limit.
+        lo = max(-30.0, tilt - 15.0)
+        specs = tuple(
+            sc.SpeakerSpec(id=i, azimuth_world=az, elevation_world=lo + u * (30.0 - lo),
+                           speech=sc.SpeechSource(seed=s))
+            for i, (az, u, s) in enumerate(speakers)
+        )
+        turn = turn10 / 10
+        scene = sc.Scene(
+            speakers=specs,
+            schedule=sc.TurnSchedule(((0.0, turn, 0), (turn, 10.0, len(specs) - 1))),
+            noise_level=noise,
+        )
+        pose = sc.HeadPose(pan, tilt)
+        k10 = 1 + int(split * (length10 - 1))
+        whole = sc.render_binaural(scene, pose, 0.0, length10 / 10, seed=seed).audio
+        head = sc.render_binaural(scene, pose, 0.0, k10 / 10, seed=seed).audio
+        tail = sc.render_binaural(scene, pose, k10 / 10, (length10 - k10) / 10, seed=seed).audio
+        n = head.shape[1]
+        assert np.array_equal(head, whole[:, :n])
+        ref = whole[:, n:]
+        assert np.max(np.abs(tail - ref)) <= 4 * np.spacing(np.max(np.abs(ref)))
+
+    check()
+
+
 def test_render_mirror_symmetry():
     """Swapping channels of a +theta render equals the -theta render exactly."""
     for az, el in [(30.0, 10.0), (75.0, -20.0)]:
