@@ -20,9 +20,11 @@ fixation is broken.  Without that rule the reward admits a degenerate
 optimum: oscillating across the tolerance boundary collects the face reward
 on alternate steps forever, which under discounting outvalues finishing the
 episode.  Ending the event on the first break makes holding strictly
-better, so the learned policy fixates and stays.  On success, the
-episode's evidence captures (see :mod:`cocktail.dataset`) can be labeled
-from the final pose alone.
+better, so the learned policy fixates and stays.  While it listens, the
+episode snapshots evidence (:class:`EvidenceBuffer`): the last half second
+of audio and the head pose, whenever the posterior is confident and a
+debounce interval has passed.  On success, :mod:`cocktail.dataset` labels
+those captures from the final pose alone.
 
 Everything is deterministic given the seeds: scenes, rendering, exploration
 and the simulator's noise streams all derive from explicit integers.
@@ -37,7 +39,6 @@ import numpy as np
 
 from . import frontend
 from .avsync import analytic_envelope, correlate_min_p, resample_envelope, reward
-from .dataset import EVIDENCE_WINDOW_S, EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer
 from .errors import DomainError, FormatError, InputError
 from .fuzzy import classify, term_index
 from .scene import (
@@ -249,6 +250,68 @@ def is_fixated(pose: HeadPose, azimuth_world: float, elevation_world: float) -> 
         abs(azimuth_world - pose.pan) <= FIXATION_TOLERANCE_DEG
         and abs(elevation_world - pose.tilt) <= FIXATION_TOLERANCE_DEG
     )
+
+
+# ---------------------------------------------------------------------------
+# Evidence capture
+
+
+#: Posterior peak probability required before an evidence snapshot fires.
+CAPTURE_THRESHOLD = 0.25
+
+#: Minimum time between successive captures within one episode.
+CAPTURE_DEBOUNCE_S = 2.0
+
+#: Length of the audio snapshot kept for feature extraction.
+EVIDENCE_WINDOW_S = 0.5
+
+#: Samples in one evidence window at the audio rate.
+EVIDENCE_WINDOW_SAMPLES = int(EVIDENCE_WINDOW_S * SAMPLE_RATE)
+
+
+@dataclass(frozen=True, eq=False)
+class EvidenceCapture:
+    """An unlabeled ``(2, n)`` audio snapshot plus the head pose that recorded it."""
+
+    time_s: float
+    pan_deg: float
+    tilt_deg: float
+    audio: np.ndarray
+    posterior_peak: float
+
+
+class EvidenceBuffer:
+    """Collects evidence snapshots according to the confidence/debounce rule."""
+
+    def __init__(self):
+        self.captures: list[EvidenceCapture] = []
+        self._last_t: float | None = None
+
+    def maybe_capture(self, t_s, posterior, recent: np.ndarray, pose: HeadPose):
+        """Snapshot the last evidence window of the ``(2, n)`` stereo array
+        ``recent`` if the posterior peak clears the threshold.
+
+        Returns the new :class:`EvidenceCapture`, whose audio is a copy, or
+        ``None`` when the posterior is too flat, the debounce interval has
+        not elapsed, or ``recent`` holds less than one evidence window.
+        """
+        if recent.shape[-1] < EVIDENCE_WINDOW_SAMPLES:
+            return None
+        peak = float(np.max(posterior.probs))
+        if peak < CAPTURE_THRESHOLD:
+            return None
+        if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
+            return None
+        capture = EvidenceCapture(
+            time_s=float(t_s),
+            pan_deg=pose.pan,
+            tilt_deg=pose.tilt,
+            audio=np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:]),
+            posterior_peak=peak,
+        )
+        self.captures.append(capture)
+        self._last_t = float(t_s)
+        return capture
 
 
 # ---------------------------------------------------------------------------

@@ -74,6 +74,7 @@ from .scene import (
     SpeakerSpec,
     SpeechSource,
     TurnSchedule,
+    as_stereo,
     mouth_area_signal,
     render_binaural,
 )
@@ -272,10 +273,7 @@ def load_scene_config(path) -> tuple[Scene, float]:
 def write_wav(path, audio) -> None:
     """Write ``(2, n)`` audio as a stereo 16-bit PCM WAV at 48 kHz; samples
     are clipped to [-1, 1]."""
-    audio = np.asarray(audio, dtype=np.float64)
-    if audio.ndim != 2 or audio.shape[0] != 2:
-        raise DomainError(f"stereo audio must have shape (2, n), got {audio.shape}")
-    pcm = np.clip(audio.T, -1.0, 1.0)
+    pcm = np.clip(as_stereo(audio).T, -1.0, 1.0)
     data = np.round(pcm * 32767.0).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(2)
@@ -365,9 +363,20 @@ def stereo_envelopes_10hz(audio, rate: int = SAMPLE_RATE):
     return resample_envelope(analytic_envelope(audio), rate, MOUTH_RATE_HZ)
 
 
+def _window_samples(window_s: float, n: int) -> int:
+    """``window_s`` in 10 Hz samples: InputError unless 3 to ``n`` of them."""
+    samples = window_s * MOUTH_RATE_HZ
+    if samples > n:
+        raise InputError(f"a {window_s} s window is longer than the {n / MOUTH_RATE_HZ} s signal")
+    window_n = round(max(samples, 0.0))  # round(-inf) would raise OverflowError
+    if window_n < 3:
+        raise InputError(f"a {window_s} s window holds fewer than 3 samples at {MOUTH_RATE_HZ} Hz")
+    return window_n
+
+
 def avsync_windows(env1, env2, mouth, window_s: float):
     """Min-p windowed correlations; DegenerateDataError if no window works."""
-    window_n = int(round(window_s * MOUTH_RATE_HZ))
+    window_n = _window_samples(window_s, len(mouth))
     results = correlate_min_p(env1, env2, mouth, window_n=window_n)
     if all(res is None for res in results):
         raise DegenerateDataError(
@@ -394,7 +403,7 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
     env1, env2 = stereo_envelopes_10hz(clip.audio)
     _, mouth1 = mouth_area_signal(first, scene.schedule, 0.0, duration, seed=seed)
     _, mouth2 = mouth_area_signal(second, scene.schedule, 0.0, duration, seed=seed)
-    window_n = int(round(window_s * MOUTH_RATE_HZ))
+    window_n = _window_samples(window_s, mouth1.size)
     res1 = correlate_min_p(env1, env2, mouth1, window_n=window_n)
     res2 = correlate_min_p(env1, env2, mouth2, window_n=window_n)
     rows = []
@@ -404,7 +413,7 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
             if res is not None and res.p < ALPHA and res.r > 0.0:
                 candidates.append((res.p, speaker.id))
         predicted = min(candidates)[1] if candidates else None
-        true = scene.schedule.active_at((w + 0.5) * window_s)
+        true = scene.schedule.active_at((w + 0.5) * window_n / MOUTH_RATE_HZ)
         rows.append((w, r1, r2, predicted, true))
     return rows
 

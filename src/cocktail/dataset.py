@@ -1,14 +1,13 @@
-"""Self-supervised dataset collection: evidence capture, labeling, storage.
+"""Self-supervised dataset collection: labeling, storage, harvest.
 
-During an episode the agent continuously keeps the most recent half second
-of binaural audio as a ``(2, n)`` array.  Whenever the auditory azimuth
-posterior is confident enough (and a debounce interval has passed) the
-:class:`EvidenceBuffer` snapshots that audio together with the head pose at
-capture time.  Nothing is labeled yet: the label arrives only when the
-episode ends in a successful fixation, at which point the agent's own final
-head pose serves as a proprioceptive stand-in for the source direction.
-Each capture then becomes a :class:`LabeledRecord` pairing the snippet's
-GCC/ILD features with the source direction *relative to the capture pose*:
+While an episode runs, the agent snapshots its most recent half second of
+binaural audio, with the head pose at capture time, whenever the azimuth
+posterior is confident enough (:class:`cocktail.agent.EvidenceBuffer`).
+Nothing is labeled yet: the label arrives only when the episode ends in a
+successful fixation, at which point the agent's own final head pose serves
+as a proprioceptive stand-in for the source direction.  Each capture then
+becomes a :class:`LabeledRecord` pairing the snippet's GCC/ILD features
+with the source direction *relative to the capture pose*:
 
     ``azimuth_deg  = final_pan  - capture_pan``
     ``elevation_deg = final_tilt - capture_tilt``
@@ -27,26 +26,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    FormatError,
-    InputError,
-    ParseError,
-)
+from .agent import run_episodes
+# perfbench looks these two up here; this module itself does not use them.
+from .agent import EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer  # noqa: F401
+from .errors import DomainError, FormatError, InputError, ParseError
 from .features import FEATURE_DIM, extract_features
-from .scene import SAMPLE_RATE, HeadPose
-
-#: Posterior peak probability required before an evidence snapshot fires.
-CAPTURE_THRESHOLD = 0.25
-
-#: Minimum time between successive captures within one episode.
-CAPTURE_DEBOUNCE_S = 2.0
-
-#: Length of the audio snapshot kept for feature extraction.
-EVIDENCE_WINDOW_S = 0.5
-
-#: Samples in one evidence window at the audio rate.
-EVIDENCE_WINDOW_SAMPLES = int(EVIDENCE_WINDOW_S * SAMPLE_RATE)
+from .scene import HeadPose
 
 #: Pan labels live in [-160, 160]: the head pan range is +/-80 degrees and a
 #: source can sit up to 80 degrees beyond the capture pan on either side.
@@ -60,51 +45,6 @@ _FORMAT_NAME = "cocktail-dataset"
 _FORMAT_VERSION = 1
 _RECORD_KEYS = frozenset({"azimuth_deg", "elevation_deg", "episode_id", "features"})
 _HEADER_KEYS = ("format", "version", "feature_dim", "count")
-
-
-@dataclass(frozen=True, eq=False)
-class EvidenceCapture:
-    """An unlabeled ``(2, n)`` audio snapshot plus the head pose that recorded it."""
-
-    time_s: float
-    pan_deg: float
-    tilt_deg: float
-    audio: np.ndarray
-    posterior_peak: float
-
-
-class EvidenceBuffer:
-    """Collects evidence snapshots according to the confidence/debounce rule."""
-
-    def __init__(self):
-        self.captures: list[EvidenceCapture] = []
-        self._last_t: float | None = None
-
-    def maybe_capture(self, t_s, posterior, recent: np.ndarray, pose: HeadPose):
-        """Snapshot the last evidence window of the ``(2, n)`` stereo array
-        ``recent`` if the posterior peak clears the threshold.
-
-        Returns the new :class:`EvidenceCapture`, whose audio is a copy, or
-        ``None`` when the posterior is too flat, the debounce interval has
-        not elapsed, or ``recent`` holds less than one evidence window.
-        """
-        if recent.shape[-1] < EVIDENCE_WINDOW_SAMPLES:
-            return None
-        peak = float(np.max(posterior.probs))
-        if peak < CAPTURE_THRESHOLD:
-            return None
-        if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
-            return None
-        capture = EvidenceCapture(
-            time_s=float(t_s),
-            pan_deg=pose.pan,
-            tilt_deg=pose.tilt,
-            audio=np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:]),
-            posterior_peak=peak,
-        )
-        self.captures.append(capture)
-        self._last_t = float(t_s)
-        return capture
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,10 +242,6 @@ def build_dataset(qtable, num_episodes: int, seed: int = 0, config=None):
     error against the simulator's ground truth (labels are proprioceptive,
     so this error is bounded by the fixation tolerance).
     """
-    # Imported here: agent imports this module's buffer types, so importing
-    # agent at module scope would create a cycle.
-    from .agent import run_episodes
-
     records: list[LabeledRecord] = []
     successes = 0
     max_az_err = 0.0

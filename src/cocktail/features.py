@@ -23,6 +23,7 @@ import scipy.fft as sfft
 
 from .errors import DomainError
 from .frontend import NUM_BANDS, band_weights
+from .scene import as_stereo
 
 #: Maximum cross-correlation lag in samples (covers the physical ITD range).
 MAX_LAG_SAMPLES = 48
@@ -38,16 +39,6 @@ FEATURE_DIM = NUM_GCC_LAGS + NUM_BANDS
 _ILD_EPS = 1e-12
 
 
-def _validate_stereo(audio: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The left and right rows of a finite ``(2, n)`` array."""
-    x = np.asarray(audio, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != 2:
-        raise DomainError(f"stereo audio must have shape (2, n), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError("stereo audio contains non-finite values")
-    return x[0], x[1]
-
-
 def gcc_features(audio: np.ndarray) -> np.ndarray:
     """Energy-normalized cross-correlation at integer lags ``-MAX_LAG_SAMPLES
     .. +MAX_LAG_SAMPLES`` of a ``(2, n)`` stereo array.
@@ -59,7 +50,7 @@ def gcc_features(audio: np.ndarray) -> np.ndarray:
     source sits on the positive-azimuth side.  If either channel is silent
     the correlation is all zeros.
     """
-    l, r = _validate_stereo(audio)
+    l, r = as_stereo(audio)
     n = l.size
     if n <= MAX_LAG_SAMPLES:
         raise DomainError(f"need more than {MAX_LAG_SAMPLES} samples, got {n}")
@@ -89,7 +80,7 @@ def ild_features(audio: np.ndarray) -> np.ndarray:
     written as a difference of logarithms so that swapping the channels
     negates the vector exactly.  Silent bands give exactly 0 dB.
     """
-    l, r = _validate_stereo(audio)
+    l, r = as_stereo(audio)
     if l.size < 2:
         raise DomainError(f"need at least 2 samples, got {l.size}")
     pl = np.abs(np.fft.rfft(l)) ** 2

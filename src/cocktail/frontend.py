@@ -48,7 +48,7 @@ except ImportError:
     _sosfilt_kernel = None
 
 from .errors import DomainError
-from .scene import SAMPLE_RATE, itd_for_azimuth
+from .scene import SAMPLE_RATE, as_stereo, itd_for_azimuth
 
 NUM_BANDS = 32
 FREQ_LO_HZ = 100.0
@@ -149,14 +149,6 @@ def make_gammatone_bank(num_bands=NUM_BANDS):
     return GammatoneBank(center_freqs=cf, sos=_slaney_sos(cf))
 
 
-def _stereo_chunk(x):
-    """``x`` as a float64 ``(2, n)`` array with ``n > 0``, or DomainError."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] != 2 or x.shape[1] == 0:
-        raise DomainError(f"chunk must have shape (2, n>0), got {x.shape}")
-    return x
-
-
 class GammatoneStream:
     """Chunk-wise stereo gammatone analysis that carries filter state between
     calls.
@@ -181,7 +173,9 @@ class GammatoneStream:
         same bit for bit.  The filter kernel runs on each band's one-channel
         ``(1, n)`` rows, which are C-contiguous in any such array.
         """
-        x = _stereo_chunk(x)
+        x = as_stereo(x)
+        if x.shape[1] == 0:
+            raise DomainError("chunk must hold at least one sample")
         shape = (self.bank.num_bands,) + x.shape
         if out is None:
             out = np.empty(shape)
@@ -481,7 +475,7 @@ class AzimuthTracker:
         # at full-fidelity sizes (32 bands, 0.5 s chunks) the allocator then
         # hands the memory back to the system and every call faults in fresh
         # pages.
-        stereo = _stereo_chunk(stereo)
+        stereo = as_stereo(stereo)  # process rejects an empty chunk
         n = self._kept + stereo.shape[1]
         if self._bands.shape[2] < n:
             grown = np.empty(self._bands.shape[:2] + (n,))

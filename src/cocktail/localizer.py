@@ -112,16 +112,8 @@ class MLPLocalizer:
 
     def parameters(self) -> list[tuple[str, np.ndarray]]:
         """The trainable arrays (normalization statistics are not trained)."""
-        return [
-            ("w1", self.w1),
-            ("b1", self.b1),
-            ("w2", self.w2),
-            ("b2", self.b2),
-            ("wa", self.wa),
-            ("ba", self.ba),
-            ("we", self.we),
-            ("be", self.be),
-        ]
+        return [(name, getattr(self, name)) for name in self._SHAPES
+                if not name.startswith("feat_")]
 
     def __post_init__(self):
         for name, shape in self._SHAPES.items():
@@ -134,24 +126,17 @@ class MLPLocalizer:
 
 
 def new_localizer(seed: int = 0) -> MLPLocalizer:
-    """He-initialized weights, zero biases, identity normalization."""
+    """He-initialized weights, drawn in table order; zero biases; identity
+    normalization."""
     rng = np.random.default_rng(seed)
 
-    def he(fan_in, fan_out):
-        return rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out))
+    def init(name, shape):
+        if name.startswith("w"):
+            return rng.normal(0.0, math.sqrt(2.0 / shape[0]), shape)
+        return np.ones(shape) if name == "feat_scale" else np.zeros(shape)
 
-    return MLPLocalizer(
-        w1=he(FEATURE_DIM, HIDDEN_UNITS),
-        b1=np.zeros(HIDDEN_UNITS),
-        w2=he(HIDDEN_UNITS, HIDDEN_UNITS),
-        b2=np.zeros(HIDDEN_UNITS),
-        wa=he(HIDDEN_UNITS, AZ_NUM_CLASSES),
-        ba=np.zeros(AZ_NUM_CLASSES),
-        we=he(HIDDEN_UNITS, EL_NUM_CLASSES),
-        be=np.zeros(EL_NUM_CLASSES),
-        feat_mean=np.zeros(FEATURE_DIM),
-        feat_scale=np.ones(FEATURE_DIM),
-    )
+    shapes = MLPLocalizer._SHAPES
+    return MLPLocalizer(**{name: init(name, shape) for name, shape in shapes.items()})
 
 
 # ---------------------------------------------------------------------------

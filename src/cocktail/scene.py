@@ -178,6 +178,16 @@ class HeadPose:
         object.__setattr__(self, "tilt", float(np.clip(self.tilt, -TILT_LIMIT_DEG, TILT_LIMIT_DEG)))
 
 
+def as_stereo(audio) -> np.ndarray:
+    """``audio`` as a finite float64 ``(2, n)`` array, left ear first, or DomainError."""
+    x = np.asarray(audio, dtype=np.float64)
+    if x.ndim != 2 or x.shape[0] != 2:
+        raise DomainError(f"stereo audio must have shape (2, n), got {x.shape}")
+    if not np.isfinite(x).all():
+        raise DomainError("stereo audio contains non-finite samples")
+    return x
+
+
 @dataclass(frozen=True)
 class BinauralClip:
     """Two-channel sample buffer at 48 kHz: ``audio`` is ``(2, n)``, left ear first."""
@@ -185,12 +195,7 @@ class BinauralClip:
     audio: np.ndarray
 
     def __post_init__(self):
-        audio = np.asarray(self.audio, dtype=np.float64)
-        object.__setattr__(self, "audio", audio)
-        if audio.ndim != 2 or audio.shape[0] != 2:
-            raise DomainError(f"clip audio must have shape (2, n), got {audio.shape}")
-        if not np.all(np.isfinite(audio)):
-            raise DomainError("clip contains non-finite samples")
+        object.__setattr__(self, "audio", as_stereo(self.audio))
 
     @property
     def left(self) -> np.ndarray:

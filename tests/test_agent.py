@@ -7,6 +7,7 @@ from cocktail import agent as ag
 from cocktail import avsync
 from cocktail.agent import (
     ACTIONS,
+    EVIDENCE_WINDOW_SAMPLES,
     AgentConfig,
     EpisodeResult,
     N_ACTIONS,
@@ -29,7 +30,6 @@ from cocktail.agent import (
     select_action,
     train,
 )
-from cocktail.dataset import EVIDENCE_WINDOW_SAMPLES
 from cocktail.errors import DomainError, FormatError, InputError
 from cocktail.scene import (
     GRID_H,

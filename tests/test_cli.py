@@ -569,6 +569,21 @@ class TestAvsync:
         assert code == 3
         assert "degenerate" in err
 
+    @pytest.mark.parametrize("window_s, words", [("1e308", "longer than"),
+                                                 ("1e307", "longer than"),
+                                                 ("0.2", "fewer than 3"),
+                                                 ("-1e308", "fewer than 3")])
+    def test_window_without_3_to_n_samples_exits_2(self, sim_dir, tmp_path, capsys,
+                                                   window_s, words):
+        code, _, err = run_cli(
+            ["avsync", "--wav", str(sim_dir / "audio.wav"),
+             "--mouth", str(sim_dir / "mouth_1.csv"), f"--window-s={window_s}",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert words in err
+
     def test_mouth_areas_whose_sums_overflow_exit_2(self, sim_dir, tmp_path, capsys):
         mouth = tmp_path / "huge.csv"
         areas = 5e307 * (0.5 + 0.5 * np.sin(np.arange(60)))
@@ -611,6 +626,32 @@ class TestTurnTaking:
         )
         assert code == 2
         assert "exactly 2 speakers" in err
+
+    def test_truth_is_read_at_the_centre_of_each_window_it_scores(self, scene_two,
+                                                                   tmp_path, capsys):
+        """A 0.54 s window spans 5 samples, 0.5 s; the truth of window 7
+        (3.5 to 4 s, speaker 1's turn) is read at 3.75 s, not at 4.05 s."""
+        code, _, _ = run_cli(
+            ["turn-taking", "--scene", str(scene_two), "--window-s", "0.54",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 0
+        _, rows = read_csv(tmp_path / "turn_taking.csv")
+        assert len(rows) == 24
+        assert [row[6] for row in rows] == ["1"] * 8 + ["2"] * 8 + ["1"] * 8
+
+    @pytest.mark.parametrize("window_s", ["1e308", "100"])
+    def test_window_without_3_to_n_samples_exits_2(self, scene_two, tmp_path, capsys,
+                                                   window_s):
+        code, _, err = run_cli(
+            ["turn-taking", "--scene", str(scene_two), "--window-s", window_s,
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "window" in err
+        assert not (tmp_path / "turn_taking.csv").exists()
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,18 @@ import json
 import numpy as np
 import pytest
 
-from cocktail.agent import ACTIONS, AgentConfig, N_STATES, new_qtable
-from cocktail.dataset import (
-    AZIMUTH_LABEL_LIMIT_DEG,
+from cocktail.agent import (
+    ACTIONS,
     CAPTURE_DEBOUNCE_S,
     CAPTURE_THRESHOLD,
     EVIDENCE_WINDOW_SAMPLES,
+    N_STATES,
+    AgentConfig,
     EvidenceBuffer,
+    new_qtable,
+)
+from cocktail.dataset import (
+    AZIMUTH_LABEL_LIMIT_DEG,
     LabeledRecord,
     build_dataset,
     label_on_fixation,

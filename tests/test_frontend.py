@@ -447,6 +447,28 @@ def test_gammatone_stream_takes_stereo_chunks_only():
             stream.process(np.zeros(shape))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_chunk_is_rejected_and_leaves_the_tracker_fresh(value):
+    """A non-finite sample is rejected before it reaches the filter state,
+    which it would otherwise poison: every later posterior would stay
+    uniform and a 40 degree source would read 0 degrees."""
+    clip = sc.render_binaural(speaker_scene(40.0, noise=0.01), sc.HeadPose(0, 0),
+                              0.0, 0.5, seed=7).audio
+    bad = clip[:, :4800].copy()
+    bad[1, 100] = value
+    stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=8))
+    with pytest.raises(DomainError, match="non-finite"):
+        stream.process(bad)
+    assert not stream._zi.any()
+    tracker, fresh = fe.AzimuthTracker(8, 0.1), fe.AzimuthTracker(8, 0.1)
+    with pytest.raises(DomainError, match="non-finite"):
+        tracker.feed(bad)
+    for s0 in range(0, clip.shape[1], 4800):
+        posterior = tracker.feed(clip[:, s0 : s0 + 4800])
+        assert np.array_equal(posterior.probs, fresh.feed(clip[:, s0 : s0 + 4800]).probs)
+    assert fe.estimate_location(posterior) == pytest.approx(40.0, abs=10.0)
+
+
 # ---------------------------------------------------------------------------
 # Streaming tracker
 
