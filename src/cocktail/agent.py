@@ -22,9 +22,9 @@ on alternate steps forever, which under discounting outvalues finishing the
 episode.  Ending the event on the first break makes holding strictly
 better, so the learned policy fixates and stays.  While it listens, the
 episode snapshots evidence (:class:`EvidenceBuffer`): the last half second
-of audio and the head pose, whenever the posterior is confident and a
-debounce interval has passed.  On success, :mod:`cocktail.dataset` labels
-those captures from the final pose alone.
+of audio, all heard at one head pose, whenever the posterior is confident
+and a debounce interval has passed.  On success, :mod:`cocktail.dataset`
+labels those captures from the final pose alone.
 
 Everything is deterministic given the seeds: scenes, rendering, exploration
 and the simulator's noise streams all derive from explicit integers.
@@ -33,7 +33,6 @@ and the simulator's noise streams all derive from explicit integers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -81,7 +80,7 @@ FAST_MAX_EPISODE_STEPS = 40
 
 #: Audio heard at the initial pose before the first step, so the evidence
 #: window is full and the posterior is warmed up when the episode starts;
-#: :func:`run_episode` renders its head only if a correlation reads it.
+#: its head is rendered only if a correlation reads it (:class:`EpisodeAudio`).
 PREROLL_S = 2.0
 
 #: Background noise level for sampled training/evaluation scenes.
@@ -99,8 +98,8 @@ class AgentConfig:
     bands, frame-length analysis hops, and a shorter correlation window
     (5 s instead of 10 s at the 10 Hz mouth rate).  The state space, reward
     and termination rules are identical in both modes.  The window also
-    bounds the raw audio an episode keeps for its envelopes (see
-    :class:`EnvelopeWindow`): the window plus at most one chunk.
+    bounds the audio an episode keeps (see :class:`EpisodeAudio`): the
+    window plus at most one step.
     """
 
     fast: bool = False
@@ -287,26 +286,27 @@ class EvidenceBuffer:
         self.captures: list[EvidenceCapture] = []
         self._last_t: float | None = None
 
-    def maybe_capture(self, t_s, posterior, recent: np.ndarray, pose: HeadPose):
-        """Snapshot the last evidence window of the ``(2, n)`` stereo array
-        ``recent`` if the posterior peak clears the threshold.
+    def maybe_capture(self, t_s, posterior, heard: EpisodeAudio, pose: HeadPose):
+        """Snapshot the last evidence window ``heard`` holds if the
+        posterior peak clears the threshold.
 
         Returns the new :class:`EvidenceCapture`, whose audio is a copy, or
         ``None`` when the posterior is too flat, the debounce interval has
-        not elapsed, or ``recent`` holds less than one evidence window.
+        not elapsed, or ``heard`` holds no evidence window heard at ``pose``.
         """
-        if recent.shape[-1] < EVIDENCE_WINDOW_SAMPLES:
-            return None
         peak = float(np.max(posterior.probs))
         if peak < CAPTURE_THRESHOLD:
             return None
         if self._last_t is not None and t_s - self._last_t < CAPTURE_DEBOUNCE_S:
             return None
+        audio = heard.evidence(pose)
+        if audio is None:
+            return None
         capture = EvidenceCapture(
             time_s=float(t_s),
             pan_deg=pose.pan,
             tilt_deg=pose.tilt,
-            audio=np.array(recent[:, -EVIDENCE_WINDOW_SAMPLES:]),
+            audio=np.array(audio),
             posterior_peak=peak,
         )
         self.captures.append(capture)
@@ -318,50 +318,84 @@ class EvidenceBuffer:
 # Episode runner
 
 
-class EnvelopeWindow:
-    """The 10 Hz binaural envelope of an episode's newest ``window_n``
-    samples, taken only when a correlation reads it.
+@dataclass
+class _Span:
+    """``n10`` 10 Hz samples from ``t0`` heard at ``pose``: the ``audio``
+    rendered after the first ``head_s``, and once read, the span's 10 Hz
+    envelope and mouth samples."""
 
-    :meth:`add` keeps each chunk, ``n`` a whole number of 10 Hz samples,
-    either as its rendered ``(2, n)`` audio or as a function that renders
-    that audio when a correlation first reads the chunk.  It drops the
-    oldest chunk as soon as the newer ones alone cover the window, so fewer
-    than ``window_n`` plus one chunk's samples are ever kept, and a chunk
-    dropped unread is never rendered.  :meth:`last` replaces each chunk it
-    reads by that chunk's 10 Hz envelope, once, with the same
-    :func:`analytic_envelope` and :func:`resample_envelope` calls on the
-    same audio as enveloping every chunk on arrival would make, so the
-    result is the same bit for bit.  A chunk no correlation reads is never
-    enveloped.
+    pose: HeadPose
+    t0: float
+    head_s: float
+    n10: int
+    audio: np.ndarray
+    env10: np.ndarray | None = None
+    mouth: np.ndarray | None = None
+
+
+class EpisodeAudio:
+    """What one episode heard: consecutive spans of time, each with its pose.
+
+    :meth:`hear` renders only a span's last ``EVIDENCE_WINDOW_S``, and
+    :meth:`evidence` returns the last evidence window only if all of it was
+    heard at one pose.  The first time :meth:`correlation_window` reads a
+    span it renders the rest, and takes the span's 10 Hz envelope and mouth
+    samples with the same calls taking them on arrival would make, so the
+    result is the same bit for bit, and a span no correlation reads costs
+    none of them.  The oldest span is dropped once the newer ones cover
+    both the correlation window and an evidence window.
     """
 
-    def __init__(self, window_n: int):
-        self.window_n = window_n
-        self._chunks: list[list] = []  # [10 Hz samples, audio or its renderer, enveloped?]
+    def __init__(self, scene: Scene, window_n: int, seed: int):
+        self.scene, self.window_n, self.seed = scene, window_n, seed
+        self._keep_n = max(window_n, round(EVIDENCE_WINDOW_S * MOUTH_RATE_HZ))
+        self._spans: list[_Span] = []
 
-    def add(self, audio, n10: int | None = None) -> None:
-        """Keep a ``(2, n)`` chunk, or a function rendering one ``n10``
-        10 Hz samples long on first read."""
-        if n10 is None:
-            n10 = audio.shape[1] * MOUTH_RATE_HZ // SAMPLE_RATE
-        self._chunks.append([n10, audio, False])
-        while sum(c[0] for c in self._chunks[1:]) >= self.window_n:
-            del self._chunks[0]
+    def hear(self, pose: HeadPose, t0: float, duration: float) -> np.ndarray:
+        """Record ``[t0, t0 + duration)`` as heard at ``pose``; return the
+        ``(2, n)`` audio of its last ``min(duration, EVIDENCE_WINDOW_S)``."""
+        head_s = max(duration - EVIDENCE_WINDOW_S, 0.0)
+        audio = render_binaural(self.scene, pose, t0 + head_s, duration - head_s,
+                                seed=self.seed).audio
+        self._spans.append(_Span(pose, t0, head_s, round(duration * MOUTH_RATE_HZ), audio))
+        self._spans = self._newest(self._keep_n, lambda s: s.n10) or self._spans
+        return audio
 
-    def last(self) -> np.ndarray:
-        """The ``(2, window_n)`` envelope of the newest ``window_n`` samples."""
-        for chunk in self._chunks:
-            if not chunk[2]:
-                audio = chunk[1]() if callable(chunk[1]) else chunk[1]
-                env = analytic_envelope(audio)
-                chunk[1:] = resample_envelope(env, SAMPLE_RATE, MOUTH_RATE_HZ), True
-        return np.concatenate([c[1] for c in self._chunks], axis=1)[:, -self.window_n :]
+    def _newest(self, n: int, size) -> list[_Span] | None:
+        """The fewest newest spans whose ``size`` adds up to ``n``, or ``None``."""
+        k = len(self._spans)
+        while n > 0 and k > 0:
+            k -= 1
+            n -= size(self._spans[k])
+        return None if n > 0 else self._spans[k:]
 
+    def evidence(self, pose: HeadPose) -> np.ndarray | None:
+        """The last ``EVIDENCE_WINDOW_SAMPLES`` heard, or ``None`` unless
+        every span they come from was heard at ``pose``."""
+        spans = self._newest(EVIDENCE_WINDOW_SAMPLES, lambda s: s.audio.shape[1])
+        if spans is None or any(s.pose != pose for s in spans):
+            return None
+        return np.concatenate([s.audio for s in spans], axis=1)[:, -EVIDENCE_WINDOW_SAMPLES:]
 
-def _preroll_audio(scene: Scene, pose: HeadPose, tail: np.ndarray, seed: int) -> np.ndarray:
-    """The whole pre-roll at ``pose``: its head, rendered now, then ``tail``."""
-    head = render_binaural(scene, pose, 0.0, PREROLL_S - EVIDENCE_WINDOW_S, seed=seed).audio
-    return np.concatenate([head, tail], axis=1)
+    def correlation_window(self):
+        """``(left, right, mouth)``: the binaural 10 Hz envelope and the mouth
+        samples of the newest ``window_n`` samples, or ``None`` while fewer
+        have been heard."""
+        spans = self._newest(self.window_n, lambda s: s.n10)
+        if spans is None:
+            return None
+        for s in spans:
+            if s.env10 is None:
+                audio = s.audio
+                if s.head_s > 0:
+                    head = render_binaural(self.scene, s.pose, s.t0, s.head_s, seed=self.seed)
+                    audio = np.concatenate([head.audio, audio], axis=1)
+                s.env10 = resample_envelope(analytic_envelope(audio), SAMPLE_RATE, MOUTH_RATE_HZ)
+                _, s.mouth = mouth_area_signal(self.scene.speakers[0], self.scene.schedule,
+                                               s.t0, s.n10 / MOUTH_RATE_HZ, seed=self.seed)
+        w = self.window_n
+        left, right = np.concatenate([s.env10 for s in spans], axis=1)[:, -w:]
+        return left, right, np.concatenate([s.mouth for s in spans])[-w:]
 
 
 @dataclass(frozen=True)
@@ -393,23 +427,15 @@ def run_episode(
 ) -> EpisodeResult:
     """Run one fixation episode; optionally update ``qtable`` in place.
 
-    The episode opens with a ``PREROLL_S`` pre-roll at the initial pose.
-    Only its last ``EVIDENCE_WINDOW_S`` is rendered up front: it warms up
-    the posterior and fills the evidence window.  The head before it is
-    rendered when a correlation first reads the pre-roll's envelope, once,
-    and never if none does (:class:`EnvelopeWindow`).  The pre-roll's mouth
-    samples are taken whole at the start.
-
-    The loop then alternates observe / act / listen: the agent encodes its
-    state from the current posterior, visuals and pan; possibly snapshots
-    evidence (the recent audio window was rendered at the pre-action pose,
-    keeping captures pose-consistent); picks an action; renders the next
-    ``config.step_s`` of audio at the new pose; and scores the step with the
-    audio-visual reward.  The binaural envelope that reward correlates with
-    the mouth is taken only of the chunks a correlation reads, when it first
-    reads them.  Success is three consecutive fixated steps; breaking an
-    acquired fixation ends the episode in failure (one attention event per
-    episode, so boundary oscillation cannot outvalue holding).
+    The episode hears through one :class:`EpisodeAudio`: first a
+    ``PREROLL_S`` pre-roll at the initial pose, which warms up the posterior
+    and fills the evidence window, then ``config.step_s`` per step.  Each
+    step observes (posterior, visuals, pan), possibly snapshots evidence
+    heard at the current pose, acts, hears at the new pose, and scores the
+    audio-visual reward, whose correlation reads the record.  Success is
+    three consecutive fixated steps; breaking an acquired fixation ends the
+    episode in failure (one attention event per episode, so boundary
+    oscillation cannot outvalue holding).
     """
     if config is None:
         config = AgentConfig()
@@ -421,29 +447,9 @@ def run_episode(
     speaker = scene.speakers[0]
 
     tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s)
+    heard = EpisodeAudio(scene, config.corr_window_n, render_seed)
     evidence = EvidenceBuffer()
-    recent = np.zeros((2, 0))
-    env = EnvelopeWindow(config.corr_window_n)
     pose = init_pose
-
-    def listen(t0: float, duration: float) -> None:
-        """Render ``[t0, t0 + duration)`` at `pose`; buffer and analyze it.
-
-        The envelope window keeps a step's audio as it is, and in place of
-        the pre-roll's tail a renderer of the whole pre-roll (head, then this
-        tail) that runs only if a correlation reads it."""
-        nonlocal recent
-        stereo = render_binaural(scene, pose, t0, duration, seed=render_seed).audio
-        # Trimming the chunk first bounds what the kept slice holds alive.
-        recent = np.concatenate(
-            [recent, stereo[:, -EVIDENCE_WINDOW_SAMPLES:]], axis=1
-        )[:, -EVIDENCE_WINDOW_SAMPLES:]
-        if t0 < PREROLL_S:
-            env.add(partial(_preroll_audio, scene, pose, stereo, render_seed),
-                    n10=round(PREROLL_S * MOUTH_RATE_HZ))
-        else:
-            env.add(stereo)  # first, so a chunk it drops is freed before the frontend runs
-        tracker.feed(stereo)
 
     def observe() -> int:
         loc = term_index(classify(frontend.estimate_location(tracker.posterior)))
@@ -453,10 +459,7 @@ def run_episode(
                 face = (gx, gy)
         return encode_state(loc, face, pose.pan)
 
-    # Pre-roll at the initial pose.  Only its final evidence-window span is
-    # rendered now: it warms up the posterior and fills the evidence window.
-    listen(PREROLL_S - EVIDENCE_WINDOW_S, EVIDENCE_WINDOW_S)
-    _, mouth = mouth_area_signal(speaker, scene.schedule, 0.0, PREROLL_S, seed=render_seed)
+    tracker.feed(heard.hear(pose, 0.0, PREROLL_S))
 
     total_reward = 0.0
     hold = 0
@@ -466,20 +469,17 @@ def run_episode(
     state = observe()
     for k in range(config.max_steps):
         t = PREROLL_S + k * config.step_s
-        evidence.maybe_capture(t, tracker.posterior, recent, pose)
+        evidence.maybe_capture(t, tracker.posterior, heard, pose)
         action = select_action(qtable.values[state], epsilon, rng)
         pose = step_head(pose, ACTIONS[action])
-        listen(t, config.step_s)
-        _, areas = mouth_area_signal(speaker, scene.schedule, t, config.step_s, seed=render_seed)
-        mouth = np.concatenate([mouth, areas])
+        tracker.feed(heard.hear(pose, t, config.step_s))
         fixated = is_fixated(pose, speaker.azimuth_world, speaker.elevation_world)
         broken = hold > 0 and not fixated
         hold = hold + 1 if fixated else 0
         corr = None
-        if fixated and mouth.size >= config.corr_window_n:
-            w = config.corr_window_n
-            left, right = env.last()
-            corr = correlate_min_p(left, right, mouth[-w:], window_n=w)[0]
+        window = heard.correlation_window() if fixated else None
+        if window is not None:
+            corr = correlate_min_p(*window, window_n=config.corr_window_n)[0]
         step_reward = reward(fixated, corr)
         total_reward += step_reward.total
         steps = k + 1

@@ -144,9 +144,6 @@ def _fmt(value) -> str:
 # Scene configuration files
 
 
-#: What converting a JSON value of the wrong type, shape or range raises.
-_CONVERSION_ERRORS = (TypeError, ValueError, OverflowError)
-
 #: The longest scene ``simulate`` can write: a 16-bit stereo WAV stores
 #: ``36 + 4 * frames`` in its 32-bit RIFF size field.
 MAX_SCENE_S = ((2**32 - 1 - 36) // 4) / SAMPLE_RATE
@@ -175,7 +172,10 @@ def load_scene_config(path) -> tuple[Scene, float]:
     ``NaN``, ``Infinity``, ``-Infinity`` and numbers too large for a float,
     which Python's JSON reader would otherwise accept, raise
     :class:`FormatError` wherever they appear, and so do a duration or
-    schedule time beyond :data:`MAX_SCENE_S`.
+    schedule time beyond :data:`MAX_SCENE_S`.  Nothing is coerced: a
+    speaker id, seed or schedule speaker id that is not a JSON integer,
+    or any other field that is not a JSON number (a bool or a string
+    included), raises :class:`FormatError` too.
     """
     text = _read_text(path, "scene file")
     try:
@@ -189,15 +189,12 @@ def load_scene_config(path) -> tuple[Scene, float]:
     if not isinstance(doc, dict):
         raise FormatError("scene config must be a JSON object")
 
-    duration = _require(doc, "duration_s", "scene config")
-    if not isinstance(duration, (int, float)) or isinstance(duration, bool):
-        raise FormatError("duration_s must be a number")
+    duration = ds.json_number(_require(doc, "duration_s", "scene config"), "duration_s")
     if not 0 < duration <= MAX_SCENE_S:
         raise FormatError(
             f"duration_s must be positive and at most {MAX_SCENE_S:.1f} s, "
             "the longest a 16-bit stereo WAV file holds"
         )
-    duration = float(duration)
 
     speaker_docs = _require(doc, "speakers", "scene config")
     if not isinstance(speaker_docs, list) or not speaker_docs:
@@ -206,17 +203,16 @@ def load_scene_config(path) -> tuple[Scene, float]:
     for entry in speaker_docs:
         if not isinstance(entry, dict):
             raise FormatError("each speaker must be a JSON object")
-        try:
-            sid = int(_require(entry, "id", "speaker"))
-            azimuth = float(_require(entry, "azimuth_deg", "speaker"))
-            elevation = float(_require(entry, "elevation_deg", "speaker"))
-            seed = int(entry.get("seed", 0))
-            low_hz, high_hz = entry.get("modulation_band", (0.5, 8.0))
-            band = (float(low_hz), float(high_hz))
-            gain = float(entry.get("mouth_gain", 1.0))
-            baseline = float(entry.get("mouth_baseline", 0.5))
-        except _CONVERSION_ERRORS as exc:
-            raise FormatError(f"bad speaker entry {entry!r}: {exc}") from None
+        sid = ds.json_integer(_require(entry, "id", "speaker"), "speaker id")
+        azimuth = ds.json_number(_require(entry, "azimuth_deg", "speaker"), "azimuth_deg")
+        elevation = ds.json_number(_require(entry, "elevation_deg", "speaker"), "elevation_deg")
+        seed = ds.json_integer(entry.get("seed", 0), "seed")
+        band = entry.get("modulation_band", [0.5, 8.0])
+        if not isinstance(band, list) or len(band) != 2:
+            raise FormatError(f"modulation_band must be [low_hz, high_hz], got {band!r}")
+        band = tuple(ds.json_number(hz, "modulation_band") for hz in band)
+        gain = ds.json_number(entry.get("mouth_gain", 1.0), "mouth_gain")
+        baseline = ds.json_number(entry.get("mouth_baseline", 0.5), "mouth_baseline")
         speakers.append(
             SpeakerSpec(
                 id=sid,
@@ -240,24 +236,14 @@ def load_scene_config(path) -> tuple[Scene, float]:
                 raise FormatError(
                     "each schedule entry must be [start_s, end_s, speaker_id]"
                 )
-            start, end, sid = seg
-            try:
-                start, end = float(start), float(end)
-                sid = None if sid is None else int(sid)
-            except _CONVERSION_ERRORS as exc:
-                raise FormatError(f"bad schedule entry {seg!r}: {exc}") from None
+            start, end = (ds.json_number(x, "schedule time") for x in seg[:2])
+            sid = None if seg[2] is None else ds.json_integer(seg[2], "schedule speaker id")
             if max(abs(start), abs(end)) > MAX_SCENE_S:
                 raise FormatError(f"schedule entry {seg!r} is beyond {MAX_SCENE_S:.1f} s")
             segments.append((start, end, sid))
         segments = tuple(segments)
 
-    noise = doc.get("noise_level", 0.01)
-    if isinstance(noise, bool) or not isinstance(noise, (int, float)):
-        raise FormatError("noise_level must be a number")
-    try:
-        noise = float(noise)
-    except OverflowError:
-        raise FormatError("noise_level is too large for a float") from None
+    noise = ds.json_number(doc.get("noise_level", 0.01), "noise_level")
     scene = Scene(
         speakers=tuple(speakers),
         schedule=TurnSchedule(segments),

@@ -160,13 +160,22 @@ def _parse_line(n: int, line: str):
     return obj
 
 
-def _require_number(value, what: str, n: int) -> float:
+def json_number(value, what: str) -> float:
+    """A JSON number as a float; a bool, a string or anything else raises
+    :class:`FormatError`, which names the value ``what``."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise FormatError(f"line {n}: {what} must be a number, got {value!r}")
+        raise FormatError(f"{what} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError:
-        raise FormatError(f"line {n}: {what} is too large for a float") from None
+        raise FormatError(f"{what} is too large for a float") from None
+
+
+def json_integer(value, what: str) -> int:
+    """A JSON integer; a bool, a float or anything else raises :class:`FormatError`."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FormatError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
@@ -210,17 +219,15 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
             raise FormatError(
                 f"line {i}: features must be a list of {feature_dim} numbers"
             )
-        values = [_require_number(v, "feature", i) for v in feats]
-        if not isinstance(obj["episode_id"], int) or isinstance(obj["episode_id"], bool):
-            raise FormatError(f"line {i}: episode_id must be an integer")
+        what = f"line {i}: feature"
+        values = [json_number(v, what) for v in feats]
+        episode_id = json_integer(obj["episode_id"], f"line {i}: episode_id")
         try:
             rec = LabeledRecord(
                 features=np.array(values),
-                azimuth_deg=_require_number(obj["azimuth_deg"], "azimuth_deg", i),
-                elevation_deg=_require_number(
-                    obj["elevation_deg"], "elevation_deg", i
-                ),
-                episode_id=obj["episode_id"],
+                azimuth_deg=json_number(obj["azimuth_deg"], f"line {i}: azimuth_deg"),
+                elevation_deg=json_number(obj["elevation_deg"], f"line {i}: elevation_deg"),
+                episode_id=episode_id,
             )
         except DomainError as exc:
             raise FormatError(f"line {i}: {exc}") from exc

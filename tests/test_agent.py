@@ -1,5 +1,7 @@
 """Tests for the tabular Q-learning head-control agent."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,7 @@ from cocktail.scene import (
     SpeakerSpec,
     SpeechSource,
     TurnSchedule,
+    mouth_area_signal,
     render_binaural,
 )
 
@@ -357,6 +360,52 @@ def test_run_episode_captures_the_last_window_of_rendered_audio(monkeypatch):
         assert np.array_equal(cap.audio, audio[:, -EVIDENCE_WINDOW_SAMPLES:])
 
 
+def scripted_actions(monkeypatch, script):
+    """Make the agent take ``script[k]`` at step ``k`` and ``none`` after."""
+    taken = []
+
+    def choose(q_row, epsilon, rng):
+        taken.append(script[len(taken)] if len(taken) < len(script) else "none")
+        return ACTIONS.index(taken[-1])
+
+    monkeypatch.setattr(ag, "select_action", choose)
+
+
+def test_run_episode_captures_no_window_heard_at_two_poses(monkeypatch):
+    # The head turns right at step 17, at 3.7 s, so the evidence window
+    # before 4.0 s holds 0.2 s heard at pan 0 and 0.3 s at pan 5: no
+    # capture then.  The first window all heard at pan 5 ends at 4.2 s.
+    scripted_actions(monkeypatch, ["none"] * 17 + ["right"])
+    result = run_episode(single_speaker_scene(45.0, 0.0), HeadPose(0.0, 0.0),
+                         new_qtable(), config=FAST)
+    assert result.steps == FAST.max_steps
+    assert [(c.time_s, c.pan_deg) for c in result.captures] == [(2.0, 0.0), (4.2, 5.0)]
+
+
+def test_full_fidelity_episode_that_moves_still_captures(monkeypatch):
+    # Each 0.5 s step is one evidence window heard at one pose, so the head
+    # turning right on every step does not stop the 4.0 s capture.
+    scripted_actions(monkeypatch, ["right"] * 5)
+    result = run_episode(single_speaker_scene(25.0, 0.0), HeadPose(0.0, 0.0),
+                         new_qtable(), config=AgentConfig())
+    assert result.success and result.steps == 5
+    assert [(c.time_s, c.pan_deg) for c in result.captures] == [(2.0, 0.0), (4.0, 20.0)]
+
+
+def test_run_episode_without_a_correlation_takes_no_mouth_samples(monkeypatch):
+    calls = []
+
+    def recording_mouth(*args, **kwargs):
+        calls.append(args[2:])
+        return mouth_area_signal(*args, **kwargs)
+
+    monkeypatch.setattr(ag, "mouth_area_signal", recording_mouth)
+    result = run_episode(single_speaker_scene(45.0, 0.0), HeadPose(0.0, 0.0),
+                         new_qtable(), config=FAST)
+    assert result.steps == FAST.max_steps and result.total_reward == 0.0
+    assert calls == []
+
+
 def test_run_episode_without_a_correlation_takes_no_envelope(monkeypatch):
     # Speaker outside the fixation box and a zero table that holds still:
     # 40 steps, none fixated, so no correlation ever reads an envelope.
@@ -386,6 +435,14 @@ def eager_envelopes(chunks):
     return [avsync.resample_envelope(avsync.analytic_envelope(c), 48_000, 10) for c in chunks]
 
 
+def eager_mouth(scene, steps):
+    """The mouth samples of the pre-roll, then of each fast step, taken on their own."""
+    step_s = FAST.step_s
+    spans = [(0.0, ag.PREROLL_S)] + [(ag.PREROLL_S + k * step_s, step_s) for k in range(steps)]
+    return [mouth_area_signal(scene.speakers[0], scene.schedule, t0, d, seed=0)[1]
+            for t0, d in spans]
+
+
 def test_run_episode_reading_the_preroll_renders_its_head_once(monkeypatch):
     """A window one sample longer than the pre-roll reads it on every
     fixated step: its head is rendered once, at the first read, and each
@@ -394,7 +451,7 @@ def test_run_episode_reading_the_preroll_renders_its_head_once(monkeypatch):
     calls = []
 
     def recording_correlation(*args, **kwargs):
-        calls.append(args[:2])
+        calls.append(args)
         return avsync.correlate_min_p(*args, **kwargs)
 
     monkeypatch.setattr(ag, "correlate_min_p", recording_correlation)
@@ -410,17 +467,19 @@ def test_run_episode_reading_the_preroll_renders_its_head_once(monkeypatch):
     chunks = [np.concatenate([head, renders[0][1]], axis=1)]
     chunks += [audio for t0, audio in renders if t0 >= ag.PREROLL_S]
     eager = eager_envelopes(chunks)
-    for k, (left, right) in enumerate(calls):
+    mouth = eager_mouth(scene, result.steps)
+    for k, (left, right, m) in enumerate(calls):
         env = np.concatenate(eager[: k + 2], axis=1)[:, -21:]
         assert np.array_equal(left, env[0]) and np.array_equal(right, env[1])
+        assert np.array_equal(m, np.concatenate(mouth[: k + 2])[-21:])
 
 
 @pytest.mark.parametrize("window", [3, 4, 22])
 def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatch, window):
-    """Each correlation gets the window of the envelope taken of every
-    chunk on arrival, bit for bit, while only the chunks some window reads
-    are enveloped, each once.  The chunks are the pre-roll, its deferred
-    head and its tail as one, then one per step."""
+    """Each correlation gets the window of the envelope and mouth samples
+    taken of every chunk on arrival, bit for bit, while only the chunks some
+    window reads are enveloped, each once.  The chunks are the pre-roll,
+    its deferred head and its tail as one, then one per step."""
     renders = recording_renders(monkeypatch)
     enveloped, calls = [], []
 
@@ -454,11 +513,13 @@ def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatc
     head = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, 1.5, seed=0).audio
     chunks = [np.concatenate([head, renders[0][1]], axis=1)] + steps()
     eager = eager_envelopes(chunks)
+    eager_mouths = eager_mouth(scene, result.steps)
     ends = np.cumsum([e.shape[1] for e in eager])
     read = set()
     for (n, (left, right, mouth), corr), step in zip(calls, result.trajectory[2:]):
         env = np.concatenate(eager[:n], axis=1)[:, -window:]
         assert np.array_equal(left, env[0]) and np.array_equal(right, env[1])
+        assert np.array_equal(mouth, np.concatenate(eager_mouths[:n])[-window:])
         assert corr == avsync.correlate_min_p(env[0], env[1], mouth, window_n=window)[0]
         assert step[2] == avsync.reward(True, corr).total
         read |= {i for i in range(n) if ends[i] > ends[n - 1] - window}
@@ -466,12 +527,27 @@ def test_run_episode_correlates_the_eager_envelope_of_the_chunks_read(monkeypatc
     assert all(np.array_equal(x, chunks[i]) for i, x in enveloped)
 
 
-def test_envelope_window_keeps_at_most_the_window_plus_one_chunk():
-    """Fed chunks of any whole number of 10 Hz samples, the window keeps
-    chunks only while the newer ones fall short of ``window_n`` samples, and
-    its envelope is the eager one at every point."""
+class FakeRender:
+    """Stands in for ``render_binaural``: slices a fixed ``(2, n)`` signal
+    by the absolute sample index."""
+
+    def __init__(self, signal):
+        self.signal = signal
+
+    def __call__(self, scene, pose, t0, duration, seed=0):
+        i = round(t0 * 48_000)
+        return SimpleNamespace(audio=self.signal[:, i : i + round(duration * 48_000)])
+
+
+def test_episode_audio_keeps_at_most_the_window_plus_one_span(monkeypatch):
+    """Heard spans of any whole number of 10 Hz samples, the record keeps
+    spans only while the newer ones fall short of ``window_n`` samples (or
+    of an evidence window, when that is longer), and its envelope, mouth
+    samples and evidence window are the eager ones at every point."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
+    scene = single_speaker_scene(0.0, 0.0)
+    evidence_n10 = round(ag.EVIDENCE_WINDOW_S * 10)
 
     @hyp.settings(max_examples=30, deadline=None, database=None)
     @hyp.given(
@@ -481,20 +557,72 @@ def test_envelope_window_keeps_at_most_the_window_plus_one_chunk():
         seed=st.integers(0, 2**32 - 1),
     )
     def check(window, lengths, reads, seed):
-        rng = np.random.default_rng(seed)
-        win = ag.EnvelopeWindow(window)
-        eager = []
+        render = FakeRender(np.random.default_rng(seed).standard_normal((2, 96 * 4800)))
+        monkeypatch.setattr(ag, "render_binaural", render)
+        heard = ag.EpisodeAudio(scene, window, seed=3)
+        env, mouth, t0 = [], [], 0.0
         for n10, read in zip(lengths, reads):
-            chunk = rng.standard_normal((2, n10 * 4800))
-            eager.append(avsync.resample_envelope(avsync.analytic_envelope(chunk), 48_000, 10))
-            win.add(chunk)
-            kept = [c[0] for c in win._chunks]
-            total = sum(e.shape[1] for e in eager)
-            assert sum(kept) - kept[0] < window
+            d = n10 / 10
+            chunk = render.signal[:, round(t0 * 48_000) : round((t0 + d) * 48_000)]
+            env.append(avsync.resample_envelope(avsync.analytic_envelope(chunk), 48_000, 10))
+            mouth.append(mouth_area_signal(scene.speakers[0], scene.schedule, t0, d, seed=3)[1])
+            heard.hear(HeadPose(0.0, 0.0), t0, d)
+            t0 += d
+            kept = [span.n10 for span in heard._spans]
+            total = sum(e.shape[1] for e in env)
+            assert sum(kept) - kept[0] < max(window, evidence_n10)
             assert sum(kept) >= min(window, total)
-            if read and total >= window:
-                expect = np.concatenate(eager, axis=1)[:, -window:]
-                assert np.array_equal(win.last(), expect)
+            if total >= evidence_n10:
+                end = total * 4800
+                assert np.array_equal(heard.evidence(HeadPose(0.0, 0.0)),
+                                      render.signal[:, end - EVIDENCE_WINDOW_SAMPLES : end])
+            if read:
+                got = heard.correlation_window()
+                if total < window:
+                    assert got is None
+                else:
+                    left, right, m = got
+                    expect = np.concatenate(env, axis=1)[:, -window:]
+                    assert np.array_equal(left, expect[0]) and np.array_equal(right, expect[1])
+                    assert np.array_equal(m, np.concatenate(mouth)[-window:])
+
+    check()
+
+
+def test_episode_audio_evidence_is_the_last_window_heard_at_one_pose(monkeypatch):
+    """``hear`` renders only a span's last half second, and ``evidence``
+    returns the last half second of time, which is always rendered, only
+    if every span it touches was heard at the asked pose."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    poses = [HeadPose(0.0, 0.0), HeadPose(5.0, 0.0), HeadPose(5.0, -5.0)]
+    n_ev = EVIDENCE_WINDOW_SAMPLES
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        spans=st.lists(st.tuples(st.integers(1, 8), st.integers(0, 2)),
+                       min_size=1, max_size=15),
+        ask=st.integers(0, 2),
+    )
+    def check(spans, ask):
+        # Sample i of the signal holds i, so a window names where it came from.
+        signal = np.tile(np.arange(120 * 4800, dtype=np.float64), (2, 1))
+        render = FakeRender(signal)
+        monkeypatch.setattr(ag, "render_binaural", render)
+        heard = ag.EpisodeAudio(single_speaker_scene(0.0, 0.0), 50, seed=0)
+        timeline, end = [], 0
+        for n10, p in spans:
+            audio = heard.hear(poses[p], end / 48_000, n10 / 10)
+            n = n10 * 4800
+            assert audio.shape == (2, min(n, n_ev))
+            assert np.array_equal(audio, signal[:, end + n - audio.shape[1] : end + n])
+            timeline += [p] * n
+            end += n
+        got = heard.evidence(poses[ask])
+        if end < n_ev or set(timeline[-n_ev:]) != {ask}:
+            assert got is None
+        else:
+            assert np.array_equal(got, signal[:, end - n_ev : end])
 
     check()
 

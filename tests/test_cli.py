@@ -472,7 +472,15 @@ class TestSimulate:
         ({"modulation_band": 4}, None),
         ({}, [["soon", 1.0, 1]]),
         ({"id": "one"}, None),
-    ], ids=["azimuth", "seed", "modulation_band", "schedule_start", "speaker_id"])
+        ({"id": 1.9}, None),
+        ({"seed": True}, None),
+        ({}, [[0.0, 1.0, 1.7]]),
+        ({"azimuth_deg": "30"}, None),
+        ({"seed": "11"}, None),
+        ({"mouth_gain": "2"}, None),
+    ], ids=["azimuth", "seed", "modulation_band", "schedule_start", "speaker_id",
+            "float_speaker_id", "bool_seed", "float_schedule_id", "string_azimuth",
+            "string_seed", "string_mouth_gain"])
     def test_mistyped_scene_field_exits_2(self, tmp_path, capsys, speaker, schedule):
         doc = {"duration_s": 1.0,
                "speakers": [{"id": 1, "azimuth_deg": 0, "elevation_deg": 0, **speaker}]}

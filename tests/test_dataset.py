@@ -12,6 +12,7 @@ from cocktail.agent import (
     EVIDENCE_WINDOW_SAMPLES,
     N_STATES,
     AgentConfig,
+    EpisodeAudio,
     EvidenceBuffer,
     new_qtable,
 )
@@ -31,7 +32,13 @@ from cocktail.errors import (
 )
 from cocktail.features import FEATURE_DIM, extract_features
 from cocktail.frontend import AZIMUTH_BINS, AzimuthPosterior
-from cocktail.scene import HeadPose
+from cocktail.scene import (
+    HeadPose,
+    Scene,
+    SpeakerSpec,
+    SpeechSource,
+    TurnSchedule,
+)
 
 FAST = AgentConfig(fast=True)
 
@@ -42,9 +49,19 @@ def peaked_posterior(peak):
     return AzimuthPosterior(probs)
 
 
-def recent_audio(n=EVIDENCE_WINDOW_SAMPLES, seed=0):
-    """A ``(2, n)`` stereo window like the one an episode keeps."""
-    return np.random.default_rng(seed).normal(size=(2, n))
+SCENE = Scene(
+    speakers=(SpeakerSpec(id=1, azimuth_world=20.0, elevation_world=0.0,
+                          speech=SpeechSource(seed=4)),),
+    schedule=TurnSchedule(((0.0, 10.0, 1),)),
+    noise_level=0.01,
+)
+
+
+def heard_at(pose, seconds=0.5, seed=0):
+    """An episode record that heard the first ``seconds`` of a scene at ``pose``."""
+    heard = EpisodeAudio(SCENE, FAST.corr_window_n, seed)
+    heard.hear(pose, 0.0, seconds)
+    return heard
 
 
 # ---------------------------------------------------------------------------
@@ -53,13 +70,13 @@ def recent_audio(n=EVIDENCE_WINDOW_SAMPLES, seed=0):
 
 def test_capture_requires_full_ring():
     buf = EvidenceBuffer()
-    short = recent_audio(EVIDENCE_WINDOW_SAMPLES - 1)
+    short = heard_at(HeadPose(0, 0), seconds=0.4)
     assert buf.maybe_capture(0.0, peaked_posterior(0.9), short, HeadPose(0, 0)) is None
     assert buf.captures == []
 
 
 def test_capture_threshold_is_inclusive():
-    recent = recent_audio()
+    recent = heard_at(HeadPose(0, 0))
     buf = EvidenceBuffer()
     below = peaked_posterior(CAPTURE_THRESHOLD - 0.01)
     at = peaked_posterior(CAPTURE_THRESHOLD)
@@ -70,10 +87,10 @@ def test_capture_threshold_is_inclusive():
 
 
 def test_capture_debounce_interval():
-    recent = recent_audio()
+    pose = HeadPose(10.0, -5.0)
+    recent = heard_at(pose)
     buf = EvidenceBuffer()
     post = peaked_posterior(0.5)
-    pose = HeadPose(10.0, -5.0)
     assert buf.maybe_capture(0.0, post, recent, pose) is not None
     assert buf.maybe_capture(CAPTURE_DEBOUNCE_S - 0.1, post, recent, pose) is None
     assert buf.maybe_capture(CAPTURE_DEBOUNCE_S, post, recent, pose) is not None
@@ -81,15 +98,32 @@ def test_capture_debounce_interval():
 
 
 def test_capture_records_pose_and_ring_contents():
-    recent = recent_audio(EVIDENCE_WINDOW_SAMPLES + 100, seed=5)
-    expected = recent[:, -EVIDENCE_WINDOW_SAMPLES:].copy()
+    pose = HeadPose(25.0, 10.0)
+    heard = EpisodeAudio(SCENE, FAST.corr_window_n, seed=5)
+    first = heard.hear(pose, 0.0, 0.3)
+    second = heard.hear(pose, 0.3, 0.3)
+    expected = np.concatenate([first, second], axis=1)[:, -EVIDENCE_WINDOW_SAMPLES:]
     buf = EvidenceBuffer()
-    cap = buf.maybe_capture(1.5, peaked_posterior(0.5), recent, HeadPose(25.0, 10.0))
+    cap = buf.maybe_capture(1.5, peaked_posterior(0.5), heard, pose)
     assert cap.pan_deg == 25.0 and cap.tilt_deg == 10.0 and cap.time_s == 1.5
     assert np.array_equal(cap.audio, expected)
-    # Later writes to the episode's array must not reach the stored snapshot.
-    recent[:] = 0.0
+    # Later writes to the episode's audio must not reach the stored snapshot.
+    first[:] = 0.0
+    second[:] = 0.0
     assert np.array_equal(cap.audio, expected)
+
+
+def test_capture_needs_the_whole_window_heard_at_the_capture_pose():
+    here, there = HeadPose(0.0, 0.0), HeadPose(5.0, 0.0)
+    heard = heard_at(there)
+    heard.hear(here, 0.5, 0.1)
+    buf = EvidenceBuffer()
+    post = peaked_posterior(0.5)
+    assert buf.maybe_capture(0.6, post, heard, here) is None
+    assert buf.maybe_capture(0.6, post, heard, there) is None
+    heard.hear(here, 0.6, 0.4)
+    assert buf.maybe_capture(1.0, post, heard, here) is not None
+    assert [c.time_s for c in buf.captures] == [1.0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,9 +151,9 @@ def test_labeled_record_validation():
 
 
 def test_label_on_fixation_relative_pose_labels():
+    pose = HeadPose(10.0, 5.0)
     buf = EvidenceBuffer()
-    cap = buf.maybe_capture(0.0, peaked_posterior(0.5), recent_audio(seed=3),
-                            HeadPose(10.0, 5.0))
+    cap = buf.maybe_capture(0.0, peaked_posterior(0.5), heard_at(pose, seed=3), pose)
     records = label_on_fixation([cap], HeadPose(25.0, 10.0), episode_id=7)
     assert len(records) == 1
     rec = records[0]
