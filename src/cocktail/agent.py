@@ -95,9 +95,10 @@ class AgentConfig:
     """Episode timing/resolution knobs.
 
     ``fast`` trades fidelity for speed: coarser time steps, fewer gammatone
-    bands, frame-length analysis hops, and a shorter correlation window
-    (5 s instead of 10 s at the 10 Hz mouth rate).  The state space, reward
-    and termination rules are identical in both modes.  The window also
+    bands, and a shorter correlation window (5 s instead of 10 s at the
+    10 Hz mouth rate).  Both modes analyze the same non-overlapping 0.1 s
+    frames (``frontend.FRAME_S``), and the state space, reward and
+    termination rules are identical in both modes.  The window also
     bounds the audio an episode keeps (see :class:`EpisodeAudio`): the
     window plus at most one step.
     """
@@ -111,10 +112,6 @@ class AgentConfig:
     @property
     def num_bands(self) -> int:
         return 8 if self.fast else frontend.NUM_BANDS
-
-    @property
-    def frame_s(self) -> float:
-        return 0.1 if self.fast else frontend.FRAME_S
 
     @property
     def corr_window_n(self) -> int:
@@ -446,7 +443,7 @@ def run_episode(
     _validate_qtable(qtable)
     speaker = scene.speakers[0]
 
-    tracker = frontend.AzimuthTracker(config.num_bands, config.frame_s)
+    tracker = frontend.AzimuthTracker(config.num_bands)
     heard = EpisodeAudio(scene, config.corr_window_n, render_seed)
     evidence = EvidenceBuffer()
     pose = init_pose

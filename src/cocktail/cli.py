@@ -166,6 +166,15 @@ def finite_float(text) -> float:
     return value
 
 
+def count(text) -> int:
+    """``int(text)``, refusing a negative value with a :class:`ValueError`;
+    parses every count flag."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(f"{text} is negative")
+    return value
+
+
 def load_scene_config(path) -> tuple[Scene, float]:
     """Parse a scene JSON document into a :class:`Scene` plus its duration.
 
@@ -784,8 +793,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subparsers.add_parser("train-rl", help="train the Q-learning controller")
     common(sub)
-    sub.add_argument("--episodes", type=int, default=2000)
-    sub.add_argument("--eval-episodes", type=int, default=100,
+    sub.add_argument("--episodes", type=count, default=2000)
+    sub.add_argument("--eval-episodes", type=count, default=100,
                      help="greedy evaluation episodes (0 to skip)")
     sub.add_argument("--fast", action="store_true")
     sub.set_defaults(func=cmd_train_rl)
@@ -793,15 +802,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subparsers.add_parser("build-dataset", help="harvest labeled records")
     common(sub)
     sub.add_argument("--qtable", required=True, help="trained Q-table (.npz)")
-    sub.add_argument("--episodes", type=int, default=500)
+    sub.add_argument("--episodes", type=count, default=500)
     sub.add_argument("--fast", action="store_true")
     sub.set_defaults(func=cmd_build_dataset)
 
     sub = subparsers.add_parser("train-localizer", help="fit the MLP localizer")
     common(sub)
     sub.add_argument("--dataset", required=True, help="dataset JSONL file")
-    sub.add_argument("--epochs", type=int, default=lz.DEFAULT_EPOCHS)
-    sub.add_argument("--batch-size", type=int, default=lz.DEFAULT_BATCH_SIZE)
+    sub.add_argument("--epochs", type=count, default=lz.DEFAULT_EPOCHS)
+    sub.add_argument("--batch-size", type=count, default=lz.DEFAULT_BATCH_SIZE)
     sub.add_argument("--learning-rate", type=finite_float, default=lz.DEFAULT_LEARNING_RATE)
     sub.add_argument("--momentum", type=finite_float, default=lz.DEFAULT_MOMENTUM)
     sub.set_defaults(func=cmd_train_localizer)
@@ -817,11 +826,11 @@ def build_parser() -> argparse.ArgumentParser:
     common(sub)
     sub.add_argument("--fast", action="store_true",
                      help="smaller episode counts and analysis windows")
-    sub.add_argument("--episodes", type=int, default=0,
+    sub.add_argument("--episodes", type=count, default=0,
                      help="RL training episodes (0 = mode default)")
-    sub.add_argument("--eval-episodes", type=int, default=0)
-    sub.add_argument("--dataset-episodes", type=int, default=0)
-    sub.add_argument("--epochs", type=int, default=0)
+    sub.add_argument("--eval-episodes", type=count, default=0)
+    sub.add_argument("--dataset-episodes", type=count, default=0)
+    sub.add_argument("--epochs", type=count, default=0)
     sub.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -199,14 +199,13 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
         raise FormatError(
             f"not a {_FORMAT_NAME} file (format={header.get('format')!r})"
         )
-    if header.get("version") != _FORMAT_VERSION:
-        raise FormatError(
-            f"unsupported dataset version {header.get('version')!r} "
-            f"(expected {_FORMAT_VERSION})"
-        )
-    feature_dim = header.get("feature_dim")
-    if not isinstance(feature_dim, int) or feature_dim <= 0:
+    version = json_integer(header.get("version"), "header version")
+    if version != _FORMAT_VERSION:
+        raise FormatError(f"unsupported dataset version {version} (expected {_FORMAT_VERSION})")
+    feature_dim = json_integer(header.get("feature_dim"), "header feature_dim")
+    if feature_dim <= 0:
         raise FormatError(f"bad feature_dim in header: {feature_dim!r}")
+    count = json_integer(header.get("count"), "header count")
     records = []
     for i, line in enumerate(lines[1:], start=2):
         obj = _parse_line(i, line)
@@ -232,7 +231,6 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
         except DomainError as exc:
             raise FormatError(f"line {i}: {exc}") from exc
         records.append(rec)
-    count = header.get("count")
     if count != len(records):
         raise FormatError(
             f"header count {count!r} does not match {len(records)} records"

@@ -17,19 +17,14 @@ Rather than materializing 37 delayed copies of every band, the energy is
 expanded algebraically: the squared terms reduce to two frame sums (signal
 energy and one-sample autocovariance, combined by the interpolation
 weights), and the cross term is gathered from the frame's band-summed
-cross-correlation at a few dozen lags.  Frames of ``FRAME_S`` overlap by one
-``HOP_S`` hop, and every one of these sums over a frame splits into sums over
-its hops plus the few products that straddle a hop boundary inside it.  So
-each hop's sums are computed once, its cross-correlation by one batched FFT
-of hop length, and a frame adds those of its hops and the products within
-``max_lag + 2`` samples of each interior boundary.  The result matches
-brute-force delay-and-sum to rounding error, and channel swap maps exactly
-onto lag negation.
+cross-correlation at a few dozen lags, computed by one batched FFT of frame
+length.  Frames of ``FRAME_S`` step by one frame and do not overlap, so each
+sample is analyzed once.  The result matches brute-force delay-and-sum to
+rounding error, and channel swap maps exactly onto lag negation.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -58,9 +53,9 @@ FREQ_HI_HZ = 8000.0
 #: the beamformers, the posterior and the location estimate.
 AZIMUTH_BINS = np.arange(-90.0, 91.0, 5.0)
 AZIMUTH_BINS.flags.writeable = False
-FRAME_S = 0.2
-HOP_S = 0.1
-_HOP = int(round(HOP_S * SAMPLE_RATE))
+#: Length of one analysis frame; frames step by one frame and do not overlap.
+FRAME_S = 0.1
+_FRAME = int(round(FRAME_S * SAMPLE_RATE))
 DECAY_LAMBDA = 0.9
 TEMPERATURE_TAU = 0.2
 
@@ -258,52 +253,33 @@ def make_beamformer_bank():
     )
 
 
-def _frame_hops(frame_s):
-    """Number of ``HOP_S`` hops in a ``frame_s`` frame, or DomainError.
-
-    Frames step by one hop and are built from whole hops, so a frame must be
-    a positive whole number of them.
-    """
-    frame = frame_s * SAMPLE_RATE
-    if not math.isfinite(frame) or round(frame) < _HOP or round(frame) % _HOP:
-        raise DomainError(f"frame_s must be a whole number of {HOP_S} s hops, got {frame_s}")
-    return round(frame) // _HOP
-
-
-def beamform_salience(bands, frame_s):
+def beamform_salience(bands):
     """Per-frame azimuth salience from delay-and-sum beamformer energies.
 
     ``bands`` holds stereo band signals, shape ``(num_bands, 2, n)`` as
-    :meth:`GammatoneStream.process` returns them.  For every ``frame_s``
-    frame (a whole number of ``HOP_S`` hops, at ``HOP_S`` spacing) and
-    azimuth bin, the left bands are delayed by the bin's ITD (linear
-    interpolation for fractional lags) and summed with the right bands; the
-    energy summed over bands, clamped at zero against rounding and
-    normalized to the frame maximum, is the salience.  Silent frames yield
-    all-zero rows.  Returns an array of shape ``(n_frames, 37)``.
+    :meth:`GammatoneStream.process` returns them.  For every whole
+    ``FRAME_S`` frame (frames do not overlap; a partial frame at the end is
+    left out) and azimuth bin, the left bands are delayed by the bin's ITD
+    (linear interpolation for fractional lags) and summed with the right
+    bands; the energy summed over bands, clamped at zero against rounding
+    and normalized to the frame maximum, is the salience.  Silent frames
+    yield all-zero rows.  Returns an array of shape ``(n_frames, 37)``.
 
-    Every frame sum is built from per-hop pieces, each computed once however
-    many frames share the hop: a hop's energies, one-sample autocovariances
-    and band-summed cross-correlation at the read lags, plus, for each hop
-    boundary inside a frame, the products that straddle it.  A frame's row
-    depends only on its own samples, bit for bit, so beamforming a buffer
-    in one call or frame by frame gives the same rows; a one-hop frame has
-    no boundary and its sums are the hop's own.
+    A frame's row depends only on its own samples, bit for bit, so
+    beamforming a buffer in one call or frame by frame gives the same rows.
     """
 
     bands = np.asarray(bands, dtype=np.float64)
     if bands.ndim != 3 or bands.shape[1] != 2:
         raise DomainError(f"bands must have shape (num_bands, 2, n), got {bands.shape}")
     nb, _, n = bands.shape
-    per = _frame_hops(frame_s)
-    if per * _HOP > n:
+    if _FRAME > n:
         raise DomainError("frame longer than signal")
-    n_frames = (n - per * _HOP) // _HOP + 1
-    n_hops = n_frames + per - 1
+    n_frames = n // _FRAME
 
     bank = make_beamformer_bank()
     k0 = bank.max_lag + 1
-    # A row of terms holds the cross-correlation cc[k0 + q] = sum_b sum_n
+    # A row of sums holds the cross-correlation cc[k0 + q] = sum_b sum_n
     # L_b[n + q] R_b[n] at the 2w read lags q in [-k0, k0 + 1], then the
     # four sums of the squared terms: left energy, left one-sample
     # autocovariance, and the same for the right.
@@ -312,57 +288,32 @@ def beamform_salience(bands, frame_s):
     # interpolated shifted squares are independent of the integer part of
     # the shift: they need only the energy and the one-sample autocovariance.
     w = k0 + 1
-    hop_terms = np.empty((n_hops, 2 * w + 4))
+    sums = np.empty((n_frames, 2 * w + 4))
 
     # The FFT correlation is read at lag indices 0 .. 2k0 + 1 only; an FFT
-    # length of hop + 2k0 + 2 keeps every read free of circular aliasing
+    # length of frame + 2k0 + 2 keeps every read free of circular aliasing
     # (the wrapped tail of the correlation stays beyond the read range).
-    m = sfft.next_fast_len(_HOP + 2 * w, real=True)
+    m = sfft.next_fast_len(_FRAME + 2 * w, real=True)
     # Both channels share one transform buffer: rows 0..nb-1 hold L shifted
-    # right by k0, rows nb.. hold R.  Each hop overwrites only those spans,
+    # right by k0, rows nb.. hold R.  Each frame overwrites only those spans,
     # so the zero padding around them is laid down once per call.
     stacked = np.zeros((2 * nb, m))
-    for h in range(n_hops):
-        lf = bands[:, 0, h * _HOP : (h + 1) * _HOP]
-        rf = bands[:, 1, h * _HOP : (h + 1) * _HOP]
-        hop_terms[h, 2 * w :] = (
+    for f in range(n_frames):
+        lf = bands[:, 0, f * _FRAME : (f + 1) * _FRAME]
+        rf = bands[:, 1, f * _FRAME : (f + 1) * _FRAME]
+        sums[f, 2 * w :] = (
             np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:]),
             np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:]),
         )
-        stacked[:nb, k0 : k0 + _HOP] = lf
-        stacked[nb:, :_HOP] = rf
+        stacked[:nb, k0 : k0 + _FRAME] = lf
+        stacked[nb:, :_FRAME] = rf
         spec = sfft.rfft(stacked, axis=1)
         cross = (spec[:nb] * np.conj(spec[nb:])).sum(axis=0)
-        # Free the spectra as soon as they are used, so a many-hop call
-        # needs one hop's scratch memory rather than two.
+        # Free the spectra as soon as they are used, so a many-frame call
+        # needs one frame's scratch memory rather than two.
         del spec
-        hop_terms[h, : 2 * w] = sfft.irfft(cross, m)[: 2 * w]
+        sums[f, : 2 * w] = sfft.irfft(cross, m)[: 2 * w]
 
-    # Products across the boundary c between two hops of one frame: L at
-    # n + q and R at n on opposite sides of c, all within w samples of it.
-    # In the (2w, 2w) band-summed product of the two channels' windows
-    # around c, entry (i, j) pairs L[c - w + i] with R[c - w + j], lag
-    # i - j; the straddling entries in the read range go to their slot and
-    # every other entry to a discarded one.
-    edge_terms = np.zeros((n_hops - 1, 2 * w + 4))
-    if per > 1:
-        i, j = np.indices((2 * w, 2 * w))
-        slot = k0 + i - j
-        slot[((i < w) == (j < w)) | (slot < 0) | (slot >= 2 * w)] = 2 * w
-        slot = slot.ravel()
-        for e, c in enumerate(range(_HOP, n_hops * _HOP, _HOP)):
-            # A contiguous copy gives every call the same operand layout, so
-            # the product rounds the same whatever buffer the window is in.
-            lw, rw = np.ascontiguousarray(bands[:, :, c - w : c + w].transpose(1, 2, 0))
-            cross = (lw @ rw.T).ravel()
-            edge_terms[e, : 2 * w] = np.bincount(slot, weights=cross, minlength=2 * w + 1)[: 2 * w]
-            edge_terms[e, 2 * w + 1] = (lw[w - 1] * lw[w]).sum()
-            edge_terms[e, 2 * w + 3] = (rw[w - 1] * rw[w]).sum()
-
-    # Each frame's sums, added hop by hop in the same order for every frame.
-    sums = hop_terms[:n_frames]
-    for h in range(1, per):
-        sums = sums + edge_terms[h - 1 : h - 1 + n_frames] + hop_terms[h : h + n_frames]
     cc = sums[:, : 2 * w]
     sa_l, sb_l, sa_r, sb_r = sums.T[2 * w :, :, None]
 
@@ -452,19 +403,17 @@ class AzimuthTracker:
 
     Each :meth:`feed` filters the chunk with a :class:`GammatoneStream`
     straight into one band buffer, behind the band samples kept from earlier
-    feeds; beamforms every ``frame_s`` frame (a whole number of ``HOP_S``
-    hops, at ``HOP_S`` spacing) that the buffer now holds in one
-    :func:`beamform_salience` call; and folds the rows into the posterior
-    in order.  Only the band samples the next frame still needs are kept,
-    shorter than one frame, at the front of the buffer, which grows to the
-    longest feed and is reused after that.  Feeding a signal in any chunking
-    gives the same posterior as one feed of the whole signal.
+    feeds; beamforms every whole ``FRAME_S`` frame that the buffer now holds
+    in one :func:`beamform_salience` call; and folds the rows into the
+    posterior in order.  Only the samples of an unfinished frame are kept, at
+    the front of the buffer, which grows to the longest feed and is reused
+    after that; a feed of whole frames keeps nothing, so no sample is
+    filtered or beamformed twice.  Feeding a signal in any chunking gives the
+    same posterior as one feed of the whole signal.
     """
 
-    def __init__(self, num_bands=NUM_BANDS, frame_s=FRAME_S):
-        self._frame = _frame_hops(frame_s) * _HOP
+    def __init__(self, num_bands=NUM_BANDS):
         self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands))
-        self.frame_s = frame_s
         self._bands = np.zeros((num_bands, 2, 0))
         self._kept = 0
         self.posterior = uniform_posterior()
@@ -482,11 +431,11 @@ class AzimuthTracker:
             grown[:, :, : self._kept] = self._bands[:, :, : self._kept]
             self._bands = grown
         self.stream.process(stereo, out=self._bands[:, :, self._kept : n])
-        if n >= self._frame:
-            salience = beamform_salience(self._bands[:, :, :n], self.frame_s)
+        if n >= _FRAME:
+            salience = beamform_salience(self._bands[:, :, :n])
             for row in salience:
                 self.posterior = update_posterior(self.posterior, row)
-            used = len(salience) * _HOP
+            used = len(salience) * _FRAME
             self._bands[:, :, : n - used] = self._bands[:, :, used:n]
             n -= used
         self._kept = n

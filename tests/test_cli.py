@@ -819,6 +819,21 @@ class TestTrainLocalizer:
         assert "diverged" in err
         assert not (tmp_path / cli.MODEL_FILE).exists()
 
+    def test_dataset_header_version_true_exits_2(self, loc_dir, tmp_path, capsys):
+        lines = (loc_dir / "train.jsonl").read_text().splitlines()
+        header = json.loads(lines[0])
+        header["version"] = True
+        data = tmp_path / "bool_version.jsonl"
+        data.write_text("\n".join([json.dumps(header), *lines[1:]]) + "\n")
+        code, _, err = run_cli(
+            ["train-localizer", "--dataset", str(data), "--epochs", "1",
+             "--out-dir", str(tmp_path)],
+            capsys,
+        )
+        assert code == 2
+        assert "version must be an integer" in err
+        assert not (tmp_path / cli.MODEL_FILE).exists()
+
     def test_model_artifact_loads(self, loc_dir):
         model = localizer.load_localizer(loc_dir / "localizer.npz")
         assert model.w1.shape == (localizer.FEATURE_DIM, localizer.HIDDEN_UNITS)
@@ -917,9 +932,9 @@ class TestArgumentErrors:
         assert "invalid finite_float value" in capsys.readouterr().err
 
 
-def float_options():
+def typed_options(text, kind):
     """``(subcommand, option, required arguments)`` for every option of
-    :func:`cli.build_parser` whose type parses ``"0.5"`` to a float."""
+    :func:`cli.build_parser` whose type parses ``text`` to a ``kind``."""
     parser = cli.build_parser()
     (subparsers,) = [a for a in parser._actions
                      if isinstance(a, argparse._SubParsersAction)]
@@ -931,15 +946,17 @@ def float_options():
             if not action.option_strings or action.type is None:
                 continue
             try:
-                parsed = action.type("0.5")
+                parsed = action.type(text)
             except (TypeError, ValueError):
                 continue
-            if isinstance(parsed, float):
+            if isinstance(parsed, kind):
                 found.append((command, action.option_strings[0], required))
     return found
 
 
-FLOAT_OPTIONS = float_options()
+FLOAT_OPTIONS = typed_options("0.5", float)
+#: Every integer option but the seed and the speaker id is a count.
+COUNT_OPTIONS = [o for o in typed_options("3", int) if o[1] not in ("--seed", "--speaker")]
 
 
 def test_float_options_are_all_found():
@@ -957,4 +974,23 @@ def test_every_float_option_rejects_non_finite_values(command, option, required,
     parser.parse_args([command, *required, f"{option}=0.5"])
     with pytest.raises(SystemExit) as info:
         parser.parse_args([command, *required, f"{option}={value}"])
+    assert info.value.code == 2
+
+
+def test_count_options_are_all_found():
+    assert {option for _, option, _ in COUNT_OPTIONS} == {
+        "--episodes", "--eval-episodes", "--dataset-episodes", "--epochs", "--batch-size",
+    }
+
+
+@pytest.mark.parametrize("command, option, required", COUNT_OPTIONS,
+                         ids=[f"{c}{o}" for c, o, _ in COUNT_OPTIONS])
+def test_every_count_option_rejects_negative_values(command, option, required):
+    """A negative count is a usage error, refused before any work starts;
+    0 still parses (skip evaluation, or take the mode's default)."""
+    parser = cli.build_parser()
+    args = parser.parse_args([command, *required, f"{option}=0"])
+    assert getattr(args, option[2:].replace("-", "_")) == 0
+    with pytest.raises(SystemExit) as info:
+        parser.parse_args([command, *required, f"{option}=-1"])
     assert info.value.code == 2

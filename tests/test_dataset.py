@@ -312,6 +312,27 @@ def test_read_rejects_boolean_numbers(tmp_path):
         read_dataset(_corrupt(tmp_path, mutate_id))
 
 
+@pytest.mark.parametrize("field, value", [
+    ("version", True), ("version", 1.0), ("feature_dim", True), ("count", 1.0),
+])
+def test_read_rejects_header_integers_of_another_type(tmp_path, field, value):
+    """``True == 1`` and ``1.0 == 1`` in Python, so a header that compares
+    equal to the right integer is still refused unless it is a JSON integer.
+    The file holds one one-feature record, which ``feature_dim`` 1 reads."""
+    path = tmp_path / "header.jsonl"
+    header = {"format": "cocktail-dataset", "version": 1, "feature_dim": 1, "count": 1}
+    record = {"azimuth_deg": 0.0, "elevation_deg": 0.0, "episode_id": 0, "features": [0.5]}
+
+    def write(header):
+        path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+
+    write(header)
+    assert len(read_dataset(path)[0]) == 1
+    write({**header, field: value})
+    with pytest.raises(FormatError, match=f"{field} must be an integer"):
+        read_dataset(path)
+
+
 def test_read_rejects_short_feature_vector(tmp_path):
     def mutate(lines):
         lines[1]["features"] = lines[1]["features"][:-1]

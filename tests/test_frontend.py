@@ -104,20 +104,22 @@ def test_beamformer_bank_structure():
     assert np.all(np.diff(bank.lags) > 0)
 
 
-def bruteforce_salience(bands, frame_s):
-    """Oracle for :func:`fe.beamform_salience`: shift each zero-padded frame
-    of both channels by half the bin's lag (linear interpolation), sum, and
-    square, one band and one bin at a time."""
+FRAME = int(round(fe.FRAME_S * sc.SAMPLE_RATE))
+
+
+def bruteforce_salience(bands):
+    """Oracle for :func:`fe.beamform_salience`: shift each zero-padded
+    ``FRAME_S`` frame of both channels by half the bin's lag (linear
+    interpolation), sum, and square, one band and one bin at a time."""
     lags = fe.make_beamformer_bank().lags
-    frame = int(round(frame_s * sc.SAMPLE_RATE))
-    hop, pad = int(round(fe.HOP_S * sc.SAMPLE_RATE)), 64
-    starts = np.arange(0, bands.shape[2] - frame + 1, hop)
+    pad = 64
+    starts = np.arange(0, bands.shape[2] - FRAME + 1, FRAME)
     naive = np.zeros((len(starts), 37))
     for fi, s0 in enumerate(starts):
         totals = np.zeros(37)
         for b in range(bands.shape[0]):
-            lf = np.pad(bands[b, 0, s0 : s0 + frame], (pad, pad))
-            rf = np.pad(bands[b, 1, s0 : s0 + frame], (pad, pad))
+            lf = np.pad(bands[b, 0, s0 : s0 + FRAME], (pad, pad))
+            rf = np.pad(bands[b, 1, s0 : s0 + FRAME], (pad, pad))
             grid = np.arange(len(lf) - 2, dtype=float)
 
             def sample(x, d):
@@ -137,30 +139,27 @@ def bruteforce_salience(bands, frame_s):
 def test_beamform_matches_bruteforce_oracle():
     """Fast algebraic route equals naive shift-and-sum delay-and-sum."""
     bands = analyzed_clip(30.0)
-    fast = fe.beamform_salience(bands, fe.FRAME_S)
-    np.testing.assert_allclose(fast, bruteforce_salience(bands, fe.FRAME_S), atol=1e-10)
+    fast = fe.beamform_salience(bands)
+    np.testing.assert_allclose(fast, bruteforce_salience(bands), atol=1e-10)
 
 
 def test_beamform_matches_bruteforce_on_generated_signals():
-    """Band counts 1-4, one to three frames of 0.1, 0.2 or 0.3 s (up to two
-    hop boundaries inside a frame) plus a partial hop, random band signals
-    over twelve decades of gain, and silent channels or bands."""
+    """Band counts 1-4, one to three frames plus a partial frame, random
+    band signals over twelve decades of gain, and silent channels or bands."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=25, deadline=None, database=None)
     @hyp.given(
         num_bands=st.integers(1, 4),
-        frame_s=st.sampled_from([0.1, 0.2, 0.3]),
         frames=st.integers(1, 3),
         tail=st.integers(0, 4799),
         seed=st.integers(0, 2**32 - 1),
         log_gain=st.floats(-6.0, 6.0),
         silent=st.sampled_from(["none", "left", "right", "band", "all"]),
     )
-    def check(num_bands, frame_s, frames, tail, seed, log_gain, silent):
-        frame = int(round(frame_s * sc.SAMPLE_RATE))
-        n = frame + (frames - 1) * int(round(fe.HOP_S * sc.SAMPLE_RATE)) + tail
+    def check(num_bands, frames, tail, seed, log_gain, silent):
+        n = frames * FRAME + tail
         bands = 10.0**log_gain * np.random.default_rng(seed).standard_normal((num_bands, 2, n))
         if silent == "left":
             bands[:, 0] = 0.0
@@ -170,35 +169,11 @@ def test_beamform_matches_bruteforce_on_generated_signals():
             bands[0] = 0.0
         elif silent == "all":
             bands[:] = 0.0
-        fast = fe.beamform_salience(bands, frame_s)
+        fast = fe.beamform_salience(bands)
         assert fast.shape == (frames, 37)
-        np.testing.assert_allclose(fast, bruteforce_salience(bands, frame_s), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(fast, bruteforce_salience(bands), rtol=0, atol=1e-10)
 
     check()
-
-
-@pytest.mark.parametrize("frame_s, frames", [(0.2, 1), (0.2, 3), (0.3, 2)])
-def test_beamform_adds_the_products_across_hop_boundaries(frame_s, frames):
-    """Band signals that are zero except within ``max_lag + 2`` samples of
-    each hop boundary, where for every read lag an impulse pair straddles
-    the boundary: left at ``n + q`` on one side, right at ``n`` on the
-    other (lag 0 cannot straddle).  Dropping those products, or pairing
-    them one sample off, moves the salience far beyond the tolerance."""
-    hop = int(round(fe.HOP_S * sc.SAMPLE_RATE))
-    k0 = fe.make_beamformer_bank().max_lag + 1
-    n = int(round(frame_s * sc.SAMPLE_RATE)) + (frames - 1) * hop
-    rng = np.random.default_rng(frames)
-    bands = np.zeros((3, 2, n))
-    for c in range(hop, n, hop):
-        for b in range(3):
-            for q in [*range(-k0, 0), *range(1, k0 + 2)]:
-                a = int(rng.integers(min(q, 0), max(q, 0)))
-                bands[b, 0, c + a] += rng.standard_normal()
-                bands[b, 1, c + a - q] += rng.standard_normal()
-    assert not bands[:, :, hop + k0 + 2 : 2 * hop - k0 - 2].any()
-    fast = fe.beamform_salience(bands, frame_s)
-    assert fast.shape == (frames, 37)
-    np.testing.assert_allclose(fast, bruteforce_salience(bands, frame_s), rtol=0, atol=1e-10)
 
 
 def test_beamform_row_depends_on_its_frame_only():
@@ -212,27 +187,24 @@ def test_beamform_row_depends_on_its_frame_only():
     @hyp.settings(max_examples=25, deadline=None, database=None)
     @hyp.given(
         num_bands=st.integers(1, 32),
-        frame_s=st.sampled_from([0.1, 0.2, 0.3]),
         frames=st.integers(1, 6),
         tail=st.integers(0, 4799),
         seed=st.integers(0, 2**32 - 1),
     )
-    def check(num_bands, frame_s, frames, tail, seed):
-        hop = int(round(fe.HOP_S * sc.SAMPLE_RATE))
-        frame = int(round(frame_s * sc.SAMPLE_RATE))
-        n = frame + (frames - 1) * hop + tail
+    def check(num_bands, frames, tail, seed):
+        n = frames * FRAME + tail
         bands = np.random.default_rng(seed).standard_normal((num_bands, 2, n))
-        whole = fe.beamform_salience(bands, frame_s)
+        whole = fe.beamform_salience(bands)
         assert whole.shape == (frames, 37)
         for f, row in enumerate(whole):
-            own = bands[:, :, f * hop : f * hop + frame].copy()
-            assert np.array_equal(fe.beamform_salience(own, frame_s), row[None])
+            own = bands[:, :, f * FRAME : (f + 1) * FRAME].copy()
+            assert np.array_equal(fe.beamform_salience(own), row[None])
 
     check()
 
 
 def test_beamform_identical_channels_symmetric_peak_at_zero():
-    sal = fe.beamform_salience(analyzed_clip(0.0)[:, [0, 0]], fe.FRAME_S)
+    sal = fe.beamform_salience(analyzed_clip(0.0)[:, [0, 0]])
     for row in sal:
         np.testing.assert_allclose(row, row[::-1], atol=1e-9)
         assert int(np.argmax(row)) == 18  # the 0 degree bin
@@ -241,32 +213,32 @@ def test_beamform_identical_channels_symmetric_peak_at_zero():
 
 def test_beamform_swap_mirrors_salience():
     bands = analyzed_clip(45.0)
-    sal = fe.beamform_salience(bands, fe.FRAME_S)
-    swapped = fe.beamform_salience(bands[:, ::-1], fe.FRAME_S)
+    sal = fe.beamform_salience(bands)
+    swapped = fe.beamform_salience(bands[:, ::-1])
     np.testing.assert_allclose(swapped, sal[:, ::-1], atol=1e-6)
 
 
 def test_beamform_argmax_tracks_source():
     bands = analyzed_clip(30.0, duration=0.4, noise=0.03)
-    for row in fe.beamform_salience(bands, fe.FRAME_S):
+    for row in fe.beamform_salience(bands):
         assert abs(fe.AZIMUTH_BINS[int(np.argmax(row))] - 30.0) <= 5.0
 
 
 def test_beamform_silent_input_all_zero():
-    sal = fe.beamform_salience(np.zeros((4, 2, 20000)), fe.FRAME_S)
+    sal = fe.beamform_salience(np.zeros((4, 2, 20000)))
     assert sal.shape[0] >= 1
     assert not sal.any()
 
 
 def test_beamform_rejects_frame_longer_than_signal():
     with pytest.raises(DomainError):
-        fe.beamform_salience(np.ones((2, 2, 100)), fe.FRAME_S)
+        fe.beamform_salience(np.ones((2, 2, 100)))
 
 
 def test_beamform_takes_stereo_bands_only():
     for shape in [(9600,), (2, 9600), (2, 1, 9600), (2, 3, 9600)]:
         with pytest.raises(DomainError):
-            fe.beamform_salience(np.ones(shape), fe.FRAME_S)
+            fe.beamform_salience(np.ones(shape))
 
 
 # ---------------------------------------------------------------------------
@@ -344,7 +316,7 @@ def test_localization_soundness_two_quick_cases():
         clip = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 1.0, seed=int(200 + az))
         bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(clip.audio)
         post = fe.uniform_posterior()
-        for row in fe.beamform_salience(bands, fe.FRAME_S):
+        for row in fe.beamform_salience(bands):
             post = fe.update_posterior(post, row)
         assert abs(fe.estimate_location(post) - az) <= 5.0
 
@@ -460,7 +432,7 @@ def test_non_finite_chunk_is_rejected_and_leaves_the_tracker_fresh(value):
     with pytest.raises(DomainError, match="non-finite"):
         stream.process(bad)
     assert not stream._zi.any()
-    tracker, fresh = fe.AzimuthTracker(8, 0.1), fe.AzimuthTracker(8, 0.1)
+    tracker, fresh = fe.AzimuthTracker(8), fe.AzimuthTracker(8)
     with pytest.raises(DomainError, match="non-finite"):
         tracker.feed(bad)
     for s0 in range(0, clip.shape[1], 4800):
@@ -473,70 +445,64 @@ def test_non_finite_chunk_is_rejected_and_leaves_the_tracker_fresh(value):
 # Streaming tracker
 
 
-def frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s):
+def frame_loop_posteriors(stereo, cuts, num_bands):
     """Reference: the per-frame loop the tracker replaces, one beamform call
     per frame on a band buffer grown by concatenation.  Returns the posterior
     after each chunk ``stereo[:, cuts[i]:cuts[i + 1]]``."""
     stream = fe.GammatoneStream(fe.make_gammatone_bank(num_bands=num_bands))
-    frame_n = int(round(frame_s * sc.SAMPLE_RATE))
-    hop_n = int(round(hop_s * sc.SAMPLE_RATE))
     bands = np.zeros((num_bands, 2, 0))
     posterior = fe.uniform_posterior()
     out = []
     for a, b in zip(cuts[:-1], cuts[1:]):
         bands = np.concatenate([bands, stream.process(stereo[:, a:b])], axis=2)
-        while bands.shape[2] >= frame_n:
-            salience = fe.beamform_salience(bands[:, :, :frame_n], frame_s)
+        while bands.shape[2] >= FRAME:
+            salience = fe.beamform_salience(bands[:, :, :FRAME])
             posterior = fe.update_posterior(posterior, salience[0])
-            bands = bands[:, :, hop_n:]
+            bands = bands[:, :, FRAME:]
         out.append(posterior.probs)
     return out
 
 
-@pytest.mark.parametrize("num_bands, frame_s, hop_s", [(8, 0.1, fe.HOP_S), (32, 0.2, fe.HOP_S)])
+@pytest.mark.parametrize("num_bands", [8, 32])
 @pytest.mark.parametrize("chunk_s", [0.07, 0.1, 0.33, 0.5, None])
-def test_tracker_matches_frame_loop_bit_for_bit(num_bands, frame_s, hop_s, chunk_s):
-    """Chunks shorter than a frame, chunks off the hop grid, and one
+def test_tracker_matches_frame_loop_bit_for_bit(num_bands, chunk_s):
+    """Chunks shorter than a frame, chunks off the frame grid, and one
     whole-signal feed (``None``) all give the reference posteriors exactly."""
     stereo = sc.render_binaural(speaker_scene(-25.0, noise=0.02), sc.HeadPose(0, 0), 0.0, 1.2, seed=4).audio
     n = stereo.shape[1]
     step = n if chunk_s is None else int(round(chunk_s * sc.SAMPLE_RATE))
     cuts = list(range(0, n, step)) + [n]
-    expect = frame_loop_posteriors(stereo, cuts, num_bands, frame_s, hop_s)
-    tracker = fe.AzimuthTracker(num_bands, frame_s)
+    expect = frame_loop_posteriors(stereo, cuts, num_bands)
+    tracker = fe.AzimuthTracker(num_bands)
     for (a, b), ref in zip(zip(cuts[:-1], cuts[1:]), expect):
         assert np.array_equal(tracker.feed(stereo[:, a:b]).probs, ref)
     assert fe.estimate_location(tracker.posterior) == -25.0
 
 
-def test_tracker_rejects_hop_longer_than_frame():
-    """Frames step by ``HOP_S``, so a shorter frame would skip samples."""
-    for frame_s in (0.05, 0.0, float("nan")):
-        with pytest.raises(DomainError):
-            fe.AzimuthTracker(8, frame_s=frame_s)
+def test_tracker_reuses_one_band_buffer(monkeypatch):
+    """A feed of whole frames beamforms every sample it filtered and keeps
+    none, so no frame is transformed twice; a partial frame is kept, in the
+    same band buffer, until a later feed completes it.  The buffer grows to
+    the longest feed and is reused: one made per feed, freed at the end of
+    each call, has every full-fidelity feed (32 bands, 0.5 s) fault its
+    memory in afresh."""
+    beamformed = []
+    beamform = fe.beamform_salience
 
+    def counted(bands):
+        beamformed.append(bands.shape[2])
+        return beamform(bands)
 
-@pytest.mark.parametrize("frame_s", [0.15, 0.25, 0.1 + 1e-4, -0.1, float("inf")])
-def test_beamform_and_tracker_reject_frames_off_the_hop_grid(frame_s):
-    """A frame is a whole number of ``HOP_S`` hops; a frame of 1.5 hops
-    would be cut into pieces that miss or repeat samples."""
-    with pytest.raises(DomainError):
-        fe.beamform_salience(np.ones((2, 2, 48_000)), frame_s)
-    with pytest.raises(DomainError):
-        fe.AzimuthTracker(8, frame_s=frame_s)
-
-
-def test_tracker_reuses_one_band_buffer():
-    """Feeds write into one band buffer that grows to the longest feed.  A
-    buffer made per feed, freed at the end of each call, has every
-    full-fidelity feed (32 bands, 0.2 s frames) fault its memory in afresh;
-    a view of it kept as the leftover holds the whole buffer alive until
-    the next feed makes another."""
-    tracker = fe.AzimuthTracker(32, 0.2)
+    monkeypatch.setattr(fe, "beamform_salience", counted)
+    tracker = fe.AzimuthTracker(32)
     rng = np.random.default_rng(3)
     tracker.feed(rng.standard_normal((2, 24_000)))
     buffer = tracker._bands
-    assert buffer.shape == (32, 2, 24_000) and tracker._kept == 4_800
-    for _ in range(3):
-        tracker.feed(rng.standard_normal((2, 4_800)))
-        assert tracker._bands is buffer and tracker._kept == 4_800
+    assert buffer.shape == (32, 2, 24_000)
+    assert beamformed == [24_000] and tracker._kept == 0
+    tracker.feed(rng.standard_normal((2, 2_400)))
+    assert tracker._bands is buffer and tracker._kept == 2_400
+    assert beamformed == [24_000]
+    tracker.feed(rng.standard_normal((2, 2_400)))
+    assert tracker._bands is buffer and tracker._kept == 0
+    assert beamformed == [24_000, 4_800]
