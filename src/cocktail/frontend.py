@@ -253,6 +253,16 @@ def make_beamformer_bank():
     )
 
 
+@lru_cache(maxsize=4)
+def _transform_buffer(nb, m):
+    """The ``(2 nb, m)`` FFT input of :func:`beamform_salience`, shared by
+    every call with ``nb`` bands: rows ``0 .. nb - 1`` hold L shifted right
+    by ``k0``, rows ``nb ..`` hold R.  Each frame overwrites only those
+    spans, so the zero padding around them is laid down once per process.
+    Sharing it is safe because the program beamforms on one thread."""
+    return np.zeros((2 * nb, m))
+
+
 def beamform_salience(bands):
     """Per-frame azimuth salience from delay-and-sum beamformer energies.
 
@@ -294,10 +304,7 @@ def beamform_salience(bands):
     # length of frame + 2k0 + 2 keeps every read free of circular aliasing
     # (the wrapped tail of the correlation stays beyond the read range).
     m = sfft.next_fast_len(_FRAME + 2 * w, real=True)
-    # Both channels share one transform buffer: rows 0..nb-1 hold L shifted
-    # right by k0, rows nb.. hold R.  Each frame overwrites only those spans,
-    # so the zero padding around them is laid down once per call.
-    stacked = np.zeros((2 * nb, m))
+    stacked = _transform_buffer(nb, m)
     for f in range(n_frames):
         lf = bands[:, 0, f * _FRAME : (f + 1) * _FRAME]
         rf = bands[:, 1, f * _FRAME : (f + 1) * _FRAME]

@@ -55,6 +55,7 @@ _FILTER_MARGIN = 256  # warm-up samples discarded ahead of the notch filter
 _STREAM_CARRIER = 1
 _STREAM_NOISE = 2
 _STREAM_JITTER = 3
+_KEPT_BLOCKS = 2  # blocks under the 384-sample overlap of two consecutive renders
 
 
 # ---------------------------------------------------------------------------
@@ -213,26 +214,58 @@ class BinauralClip:
 # ---------------------------------------------------------------------------
 
 
-def _stream(key, n0, n1, draw, block=_BLOCK):
-    """Samples ``[n0, n1)`` of an absolute-indexed random stream.
+class RenderStream:
+    """The seeded blocks one episode's renders share.
+
+    Consecutive renders overlap: a render reads ``_FILTER_MARGIN +
+    _DELAY_MARGIN`` samples before its window and ``_DELAY_MARGIN`` after it,
+    so a 0.1 s step spans three 4 800-sample blocks of which only one is new.
+    For each stream (a speaker's carrier and modulator, a mouth's jitter), a
+    ``RenderStream`` holds the last ``_KEPT_BLOCKS`` blocks of its latest
+    forward render, and the next render reuses them instead of drawing them
+    again.  A render that starts before the kept blocks neither reads them
+    nor replaces them, and a block's samples depend only on its stream and
+    index, so a render through a stream equals a fresh one bit for bit.
+    Noise blocks never overlap between steps and are not kept.
+    """
+
+    def __init__(self):
+        self._kept: dict = {}
+
+    def blocks(self, key, b0, b1, draw):
+        """Blocks ``[b0, b1)`` of stream ``key``; ``draw(c0, c1)`` returns
+        blocks ``[c0, c1)`` as a list of arrays."""
+        first, kept = self._kept.get(key, (b0, []))
+        if b0 < first:
+            return draw(b0, b1)
+        reused = kept[b0 - first : b1 - first]
+        parts = reused + draw(b0 + len(reused), b1)
+        tail = parts[-_KEPT_BLOCKS:]
+        self._kept[key] = (b1 - len(tail), tail)
+        return parts
+
+
+def _stream(key, n0, n1, draw, block=_BLOCK, stream=None):
+    """Samples ``[n0, n1)`` of an absolute-indexed random stream, ``n1 >= 0``.
 
     ``draw(rng)`` produces one block of ``block`` samples (last axis). Block
     ``b`` is seeded independently with ``SeedSequence(key + (b,))`` so any
     window of the stream can be reproduced without generating its prefix.
-    Negative indices (before the start of time) yield zeros.
+    Negative indices (before the start of time) yield zeros.  An empty
+    window still draws the block it starts in, which gives the result its
+    shape.  Blocks a :class:`RenderStream` holds under ``key`` are reused.
     """
 
-    total = n1 - n0
-    pad0 = min(max(0, -n0), total)
-    n0 = max(n0, 0)
-    if n1 <= n0:
-        probe = draw(np.random.default_rng(0))
-        return np.zeros(probe.shape[:-1] + (total,))
-    b0, b1 = n0 // block, -(-n1 // block)
-    parts = [
-        draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
-        for b in range(b0, b1)
-    ]
+    pad0 = max(0, -n0)
+    n0 += pad0
+    b0 = n0 // block
+    b1 = max(-(-n1 // block), b0 + 1)
+
+    def fresh(c0, c1):
+        return [draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
+                for b in range(c0, c1)]
+
+    parts = fresh(b0, b1) if stream is None else stream.blocks(key, b0, b1, fresh)
     chunk = np.concatenate(parts, axis=-1)[..., n0 - b0 * block : n1 - b0 * block]
     if pad0:
         chunk = np.concatenate([np.zeros(chunk.shape[:-1] + (pad0,)), chunk], axis=-1)
@@ -276,7 +309,7 @@ def _modulator_table(source):
     return np.concatenate([np.cos(w), np.sin(w)])
 
 
-def _modulator(source, n0, n1):
+def _modulator(source, n0, n1, stream=None):
     """:func:`source_envelope` at samples ``[n0, n1)`` (times ``n / fs``),
     evaluated block by block as a sum of phasors.
 
@@ -285,29 +318,33 @@ def _modulator(source, n0, n1):
     product of one coefficient per component, ``(a_k cos theta_k, -a_k sin
     theta_k)``, with the cached :func:`_modulator_table`.  Every block is
     computed alone, so any window of the modulator reproduces the same
-    samples bit for bit.
+    samples bit for bit, and blocks a :class:`RenderStream` holds for
+    ``source`` are reused.
     """
     freqs, amps, phases = _modulator_params(source)
-    b0, b1 = n0 // _BLOCK, -(-n1 // _BLOCK)
-    theta = 2.0 * np.pi * freqs * (np.arange(b0, b1)[:, None] * _BLOCK / SAMPLE_RATE) + phases
-    coef = np.concatenate([amps * np.cos(theta), -amps * np.sin(theta)], axis=1)
     table = _modulator_table(source)
-    ridge = np.empty((b1 - b0, _BLOCK))
-    for row, c in zip(ridge, coef):
-        np.dot(c, table, out=row)
-    ridge = ridge.ravel()[n0 - b0 * _BLOCK : n1 - b0 * _BLOCK]
+
+    def ridges(b0, b1):
+        theta = 2.0 * np.pi * freqs * (np.arange(b0, b1)[:, None] * _BLOCK / SAMPLE_RATE) + phases
+        coef = np.concatenate([amps * np.cos(theta), -amps * np.sin(theta)], axis=1)
+        return [np.dot(c, table) for c in coef]
+
+    b0, b1 = n0 // _BLOCK, -(-n1 // _BLOCK)
+    parts = ridges(b0, b1) if stream is None else stream.blocks(source, b0, b1, ridges)
+    ridge = np.concatenate(parts)[n0 - b0 * _BLOCK : n1 - b0 * _BLOCK]
     return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
 
 
-def _source_samples(source, render_seed, speaker_id, n0, n1):
+def _source_samples(source, render_seed, speaker_id, n0, n1, stream=None):
     """Raw speech waveform samples ``[n0, n1)`` for one speaker."""
     carrier = _stream(
         (int(render_seed), _STREAM_CARRIER, int(speaker_id)),
         n0,
         n1,
         lambda rng: rng.uniform(-1.0, 1.0, _BLOCK),
+        stream=stream,
     )
-    return _modulator(source, n0, n1) * carrier
+    return _modulator(source, n0, n1, stream) * carrier
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +391,10 @@ def _fractional_delay_gather(extended, ext_start, out_start, out_len, delay):
     with the same weights, wherever ``extended`` starts.
     """
 
+    if delay == 0:
+        # Interpolating at weight 0 gives ``1 * x[n] + 0 * x[n + 1]``, the
+        # same samples bit for bit.
+        return extended[out_start - ext_start : out_start - ext_start + out_len]
     frac = np.arange(out_start, out_start + out_len) - delay
     base = np.floor(frac)
     frac -= base
@@ -368,7 +409,7 @@ def _notch_coeffs(freq_hz):
     return iirnotch(freq_hz, NOTCH_Q, fs=SAMPLE_RATE)
 
 
-def render_binaural(scene, pose, t0, duration, seed):
+def render_binaural(scene, pose, t0, duration, seed, stream=None):
     """Render what the two microphones record over ``[t0, t0 + duration)``.
 
     Each active speaker's waveform is delayed per :func:`itd_for_azimuth` of
@@ -388,6 +429,10 @@ def render_binaural(scene, pose, t0, duration, seed):
     below the head's tilt.  Lower speakers move the notch down and narrow
     it, so its warm-up leaves a few parts in 1e12 of the peak at -60
     degrees.
+
+    Renders through one ``stream`` (a :class:`RenderStream`) reuse the
+    carrier and modulator blocks the previous render shares with them and
+    keep at most two blocks of each; the clip is the same bit for bit.
     """
 
     if duration <= 0:
@@ -413,7 +458,7 @@ def render_binaural(scene, pose, t0, duration, seed):
         delay = itd_for_azimuth(rel_az) * SAMPLE_RATE
         ext0 = i0 - _FILTER_MARGIN - _DELAY_MARGIN
         ext1 = i1 + _DELAY_MARGIN
-        sig = _source_samples(speaker.speech, seed, sid, ext0, ext1)
+        sig = _source_samples(speaker.speech, seed, sid, ext0, ext1, stream)
         # The speaker only sounds during its turn.
         sig[: max(seg0 - ext0, 0)] = 0.0
         sig[seg1 - ext0 :] = 0.0
@@ -474,7 +519,7 @@ def observe_visual(scene, pose):
     return tuple(visible)
 
 
-def mouth_area_signal(speaker, schedule, t0, duration, seed=0):
+def mouth_area_signal(speaker, schedule, t0, duration, seed=0, stream=None):
     """Sampled mouth-area measurement for one speaker at 10 Hz.
 
     While the speaker is active the area follows
@@ -482,11 +527,14 @@ def mouth_area_signal(speaker, schedule, t0, duration, seed=0):
     Seeded zero-mean jitter with standard deviation ``0.05 * gain`` models
     measurement noise. Samples are taken at block centers
     ``t0 + (k + 0.5) / 10`` so they align with block-mean resampled audio
-    envelopes.
+    envelopes.  Calls through one ``stream`` (a :class:`RenderStream`)
+    reuse the jitter blocks the previous call drew.
     """
 
     if duration <= 0:
         raise DomainError("duration must be > 0")
+    if t0 < 0:
+        raise DomainError("t0 must be >= 0")
     n = int(round(duration * MOUTH_RATE_HZ))
     times = t0 + (np.arange(n) + 0.5) / MOUTH_RATE_HZ
     env = source_envelope(speaker.speech, times)
@@ -504,6 +552,7 @@ def mouth_area_signal(speaker, schedule, t0, duration, seed=0):
         k0 + n,
         lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK),
         block=_JITTER_BLOCK,
+        stream=stream,
     )
     return times, areas + 0.05 * speaker.mouth_gain * noise
 

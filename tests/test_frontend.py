@@ -203,6 +203,24 @@ def test_beamform_row_depends_on_its_frame_only():
     check()
 
 
+@pytest.mark.parametrize("num_bands", [8, 32])
+@pytest.mark.parametrize("tail", [0, 1234])
+def test_beamform_rows_do_not_depend_on_call_order(num_bands, tail):
+    """Calls with the same band count share one zero-padded transform
+    buffer.  Two inputs give the same rows bit for bit in either order as
+    with a fresh buffer each, so no call leaves samples in the padding."""
+    rng = np.random.default_rng(num_bands + tail)
+    inputs = (1e3 * rng.standard_normal((num_bands, 2, 3 * FRAME + tail)),
+              rng.standard_normal((num_bands, 2, 2 * FRAME + tail)))
+    fresh = []
+    for bands in inputs:
+        fe._transform_buffer.cache_clear()
+        fresh.append(fe.beamform_salience(bands))
+    for order in ((0, 1, 0), (1, 0, 1)):
+        for i in order:
+            assert np.array_equal(fe.beamform_salience(inputs[i]), fresh[i])
+
+
 def test_beamform_identical_channels_symmetric_peak_at_zero():
     sal = fe.beamform_salience(analyzed_clip(0.0)[:, [0, 0]])
     for row in sal:

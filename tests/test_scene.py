@@ -208,6 +208,114 @@ def test_render_rejects_bad_duration():
         sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 0.0, seed=1)
 
 
+@pytest.mark.parametrize("t0", [-4.95, -0.05])
+def test_render_and_mouth_reject_a_start_before_zero(t0):
+    scene = single_speaker_scene(0.0)
+    with pytest.raises(DomainError, match="t0"):
+        sc.render_binaural(scene, sc.HeadPose(0, 0), t0, 0.1, seed=1)
+    with pytest.raises(DomainError, match="t0"):
+        sc.mouth_area_signal(scene.speakers[0], scene.schedule, t0, 0.1, seed=1)
+
+
+@pytest.mark.parametrize("t0", [0.0, 0.1, 0.123])
+def test_windows_shorter_than_one_sample_are_empty(t0):
+    scene = single_speaker_scene(0.0, noise=0.01)
+    assert sc.render_binaural(scene, sc.HeadPose(0, 0), t0, 1e-6, seed=1).audio.shape == (2, 0)
+    times, areas = sc.mouth_area_signal(scene.speakers[0], scene.schedule, t0, 0.04, seed=1)
+    assert times.shape == areas.shape == (0,)
+
+
+class RecordingStream(sc.RenderStream):
+    """A :class:`sc.RenderStream` that records, for each request, the key,
+    the block range, the blocks kept before it and the blocks it drew."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def blocks(self, key, b0, b1, draw):
+        drawn = []
+
+        def counted(c0, c1):
+            drawn.extend(range(c0, c1))
+            return draw(c0, c1)
+
+        kept = self._kept.get(key)
+        self.calls.append((key, b0, b1, draw, kept and (kept[0], kept[0] + len(kept[1])), drawn))
+        return super().blocks(key, b0, b1, counted)
+
+
+def check_stream_keeps_only_the_last_forward_blocks(stream):
+    """A request that starts at or after the kept blocks draws only the
+    blocks not kept; each stream then keeps the trailing blocks of its
+    latest such request and nothing else; an earlier start draws all."""
+    for key, b0, b1, _, kept, drawn in stream.calls:
+        if kept is None or b0 >= kept[0]:
+            reused = set(range(*kept)) if kept else set()
+            assert drawn == [b for b in range(b0, b1) if b not in reused]
+        else:
+            assert drawn == list(range(b0, b1))
+    for key, (first, blocks) in stream._kept.items():
+        forward = [(b0, b1, draw) for k, b0, b1, draw, kept, _ in stream.calls
+                   if k == key and (kept is None or b0 >= kept[0])]
+        b0, b1, draw = forward[-1]
+        assert list(range(first, first + len(blocks))) == list(range(b0, b1))[-sc._KEPT_BLOCKS:]
+        for b, block in enumerate(blocks, first):
+            assert np.array_equal(block, draw(b, b + 1)[0])
+
+
+def test_renders_through_a_stream_equal_fresh_renders_bit_for_bit():
+    """An episode's sequence of renders and mouth samples through one
+    :class:`sc.RenderStream` equals fresh calls bit for bit: the pre-roll's
+    last 0.5 s, then forward steps of 0.1 s or 0.5 s at changing poses,
+    with the pre-roll's head ``[0, 1.5 s)`` and its mouth samples taken out
+    of order after any step, a turn change inside a step, and noise on or
+    off.  Each stream keeps only the trailing blocks of its latest forward
+    request."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=40, deadline=None, database=None)
+    @hyp.given(
+        step_s=st.sampled_from([0.1, 0.5]),
+        poses=st.lists(st.tuples(st.integers(-6, 6), st.integers(-2, 2)), min_size=1, max_size=8),
+        azimuths=st.tuples(st.integers(-12, 12), st.integers(-12, 12)),
+        turn=st.tuples(st.integers(0, 7), st.floats(0.05, 0.95)),
+        head_after=st.integers(0, 8),
+        noise=st.sampled_from([0.0, 0.01]),
+        seed=st.integers(0, 2**31 - 1),
+    )
+    def check(step_s, poses, azimuths, turn, head_after, noise, seed):
+        turn_s = 2.0 + step_s * (turn[0] + turn[1])
+        scene = sc.Scene(
+            speakers=tuple(sc.SpeakerSpec(id=i, azimuth_world=5.0 * az, elevation_world=0.0,
+                                          speech=sc.SpeechSource(seed=seed + i))
+                           for i, az in enumerate(azimuths)),
+            schedule=sc.TurnSchedule(((0.0, turn_s, 0), (turn_s, 40.0, 1))),
+            noise_level=noise,
+        )
+        stream = RecordingStream()
+
+        def same(t0, duration, pose):
+            got = sc.render_binaural(scene, pose, t0, duration, seed, stream=stream).audio
+            assert np.array_equal(got, sc.render_binaural(scene, pose, t0, duration, seed).audio)
+            for spk in scene.speakers:
+                got = sc.mouth_area_signal(spk, scene.schedule, t0, duration, seed, stream=stream)
+                assert np.array_equal(got[1], sc.mouth_area_signal(
+                    spk, scene.schedule, t0, duration, seed)[1])
+            check_stream_keeps_only_the_last_forward_blocks(stream)
+
+        pose = sc.HeadPose(5.0 * poses[0][0], 5.0 * poses[0][1])
+        same(1.5, 0.5, pose)
+        for k, (pan, tilt) in enumerate(poses):
+            if k == head_after:
+                same(0.0, 1.5, pose)
+            pose = sc.HeadPose(5.0 * pan, 5.0 * tilt)
+            same(2.0 + k * step_s, step_s, pose)
+
+    check()
+
+
 def test_render_rejects_noise_that_overflows():
     scene = single_speaker_scene(0.0, noise=1e308)
     with pytest.raises(DomainError, match="non-finite"):
