@@ -48,7 +48,6 @@ from .scene import (
     PAN_LIMIT_DEG,
     SAMPLE_RATE,
     HeadPose,
-    RenderStream,
     Scene,
     SpeakerSpec,
     SpeechSource,
@@ -343,26 +342,19 @@ class EpisodeAudio:
     result is the same bit for bit, and a span no correlation reads costs
     none of them.  The oldest span is dropped once the newer ones cover
     both the correlation window and an evidence window.
-
-    Every render and mouth call goes through one
-    :class:`~cocktail.scene.RenderStream`, so a step reuses the carrier,
-    modulator and jitter blocks the previous step drew and keeps at most
-    two blocks of each; a pre-roll head rendered later starts before them
-    and leaves them as they are.
     """
 
     def __init__(self, scene: Scene, window_n: int, seed: int):
         self.scene, self.window_n, self.seed = scene, window_n, seed
         self._keep_n = max(window_n, round(EVIDENCE_WINDOW_S * MOUTH_RATE_HZ))
         self._spans: list[_Span] = []
-        self._stream = RenderStream()
 
     def hear(self, pose: HeadPose, t0: float, duration: float) -> np.ndarray:
         """Record ``[t0, t0 + duration)`` as heard at ``pose``; return the
         ``(2, n)`` audio of its last ``min(duration, EVIDENCE_WINDOW_S)``."""
         head_s = max(duration - EVIDENCE_WINDOW_S, 0.0)
         audio = render_binaural(self.scene, pose, t0 + head_s, duration - head_s,
-                                seed=self.seed, stream=self._stream).audio
+                                seed=self.seed).audio
         self._spans.append(_Span(pose, t0, head_s, round(duration * MOUTH_RATE_HZ), audio))
         self._spans = self._newest(self._keep_n, lambda s: s.n10) or self._spans
         return audio
@@ -394,13 +386,11 @@ class EpisodeAudio:
             if s.env10 is None:
                 audio = s.audio
                 if s.head_s > 0:
-                    head = render_binaural(self.scene, s.pose, s.t0, s.head_s,
-                                           seed=self.seed, stream=self._stream)
+                    head = render_binaural(self.scene, s.pose, s.t0, s.head_s, seed=self.seed)
                     audio = np.concatenate([head.audio, audio], axis=1)
                 s.env10 = resample_envelope(analytic_envelope(audio), SAMPLE_RATE, MOUTH_RATE_HZ)
                 _, s.mouth = mouth_area_signal(self.scene.speakers[0], self.scene.schedule,
-                                               s.t0, s.n10 / MOUTH_RATE_HZ, seed=self.seed,
-                                               stream=self._stream)
+                                               s.t0, s.n10 / MOUTH_RATE_HZ, seed=self.seed)
         w = self.window_n
         left, right = np.concatenate([s.env10 for s in spans], axis=1)[:, -w:]
         return left, right, np.concatenate([s.mouth for s in spans])[-w:]

@@ -18,7 +18,8 @@ Subcommands
 
 Every subcommand accepts ``--seed`` (default: ``$COCKTAIL_SEED`` or 42) and
 ``--out-dir`` and is fully deterministic for a fixed seed.  Exit codes: 0
-success, 2 input error, 3 degenerate data, 4 internal contract violation.
+success, 2 input error (an unreadable or unwritable path included), 3
+degenerate data, 4 internal contract violation.
 
 Scene configuration files are JSON documents::
 
@@ -841,6 +842,11 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (InputError, DomainError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except OSError as exc:
+        # A path that cannot be read or written: a directory given as a
+        # file, an output directory that names a file, and the like.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DegenerateDataError as exc:

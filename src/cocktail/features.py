@@ -50,11 +50,14 @@ def gcc_features(audio: np.ndarray) -> np.ndarray:
     source sits on the positive-azimuth side.  If either channel is silent
     the correlation is all zeros.
     """
-    l, r = as_stereo(audio)
+    x = as_stereo(audio)
+    l, r = x
     n = l.size
     if n <= MAX_LAG_SAMPLES:
         raise DomainError(f"need more than {MAX_LAG_SAMPLES} samples, got {n}")
-    energy = float(np.dot(l, l)) * float(np.dot(r, r))
+    # einsum sums without BLAS, whose rounding depends on its thread count.
+    e_l, e_r = np.einsum("cn,cn->c", x, x)
+    energy = float(e_l) * float(e_r)
     if energy == 0.0:
         return np.zeros(NUM_GCC_LAGS)
     # Linear cross-correlation via FFT.  Padding the left channel by
@@ -86,8 +89,9 @@ def ild_features(audio: np.ndarray) -> np.ndarray:
     pl = np.abs(np.fft.rfft(l)) ** 2
     pr = np.abs(np.fft.rfft(r)) ** 2
     weights = band_weights(pl.size)
-    band_l = weights @ pl + _ILD_EPS
-    band_r = weights @ pr + _ILD_EPS
+    # As in gcc_features, einsum keeps the sums off BLAS.
+    band_l = np.einsum("bf,f->b", weights, pl) + _ILD_EPS
+    band_r = np.einsum("bf,f->b", weights, pr) + _ILD_EPS
     return 10.0 * (np.log10(band_l) - np.log10(band_r))
 
 

@@ -55,7 +55,12 @@ _FILTER_MARGIN = 256  # warm-up samples discarded ahead of the notch filter
 _STREAM_CARRIER = 1
 _STREAM_NOISE = 2
 _STREAM_JITTER = 3
-_KEPT_BLOCKS = 2  # blocks under the 384-sample overlap of two consecutive renders
+#: Block length and one block's draw for each seeded stream kind.
+_STREAM_KINDS = {
+    _STREAM_CARRIER: (_BLOCK, lambda rng: rng.uniform(-1.0, 1.0, _BLOCK)),
+    _STREAM_NOISE: (_BLOCK, lambda rng: rng.normal(0.0, 1.0, (2, _BLOCK))),
+    _STREAM_JITTER: (_JITTER_BLOCK, lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -214,58 +219,38 @@ class BinauralClip:
 # ---------------------------------------------------------------------------
 
 
-class RenderStream:
-    """The seeded blocks one episode's renders share.
+@lru_cache(maxsize=8)
+def _seeded_block(key, b):
+    """Block ``b`` of the random stream ``key``, read-only.
 
-    Consecutive renders overlap: a render reads ``_FILTER_MARGIN +
-    _DELAY_MARGIN`` samples before its window and ``_DELAY_MARGIN`` after it,
-    so a 0.1 s step spans three 4 800-sample blocks of which only one is new.
-    For each stream (a speaker's carrier and modulator, a mouth's jitter), a
-    ``RenderStream`` holds the last ``_KEPT_BLOCKS`` blocks of its latest
-    forward render, and the next render reuses them instead of drawing them
-    again.  A render that starts before the kept blocks neither reads them
-    nor replaces them, and a block's samples depend only on its stream and
-    index, so a render through a stream equals a fresh one bit for bit.
-    Noise blocks never overlap between steps and are not kept.
+    The block is drawn from ``SeedSequence(key + (b,))`` alone, so any
+    window of the stream can be reproduced without generating its prefix,
+    and its length and distribution come from the stream kind ``key[1]``,
+    an entry of ``_STREAM_KINDS``.  The cache holds what one 0.1 s step
+    touches, about three carrier blocks, a noise block and a jitter block,
+    so consecutive renders reuse the blocks their margins share.
     """
-
-    def __init__(self):
-        self._kept: dict = {}
-
-    def blocks(self, key, b0, b1, draw):
-        """Blocks ``[b0, b1)`` of stream ``key``; ``draw(c0, c1)`` returns
-        blocks ``[c0, c1)`` as a list of arrays."""
-        first, kept = self._kept.get(key, (b0, []))
-        if b0 < first:
-            return draw(b0, b1)
-        reused = kept[b0 - first : b1 - first]
-        parts = reused + draw(b0 + len(reused), b1)
-        tail = parts[-_KEPT_BLOCKS:]
-        self._kept[key] = (b1 - len(tail), tail)
-        return parts
+    draw = _STREAM_KINDS[key[1]][1]
+    block = draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
+    block.flags.writeable = False
+    return block
 
 
-def _stream(key, n0, n1, draw, block=_BLOCK, stream=None):
-    """Samples ``[n0, n1)`` of an absolute-indexed random stream, ``n1 >= 0``.
+def _stream(key, n0, n1):
+    """Samples ``[n0, n1)`` of an absolute-indexed random stream, ``n1 >= 0``,
+    cut from its :func:`_seeded_block` blocks.
 
-    ``draw(rng)`` produces one block of ``block`` samples (last axis). Block
-    ``b`` is seeded independently with ``SeedSequence(key + (b,))`` so any
-    window of the stream can be reproduced without generating its prefix.
     Negative indices (before the start of time) yield zeros.  An empty
     window still draws the block it starts in, which gives the result its
-    shape.  Blocks a :class:`RenderStream` holds under ``key`` are reused.
+    shape.
     """
 
+    block = _STREAM_KINDS[key[1]][0]
     pad0 = max(0, -n0)
     n0 += pad0
     b0 = n0 // block
     b1 = max(-(-n1 // block), b0 + 1)
-
-    def fresh(c0, c1):
-        return [draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
-                for b in range(c0, c1)]
-
-    parts = fresh(b0, b1) if stream is None else stream.blocks(key, b0, b1, fresh)
+    parts = [_seeded_block(key, b) for b in range(b0, b1)]
     chunk = np.concatenate(parts, axis=-1)[..., n0 - b0 * block : n1 - b0 * block]
     if pad0:
         chunk = np.concatenate([np.zeros(chunk.shape[:-1] + (pad0,)), chunk], axis=-1)
@@ -309,42 +294,41 @@ def _modulator_table(source):
     return np.concatenate([np.cos(w), np.sin(w)])
 
 
-def _modulator(source, n0, n1, stream=None):
-    """:func:`source_envelope` at samples ``[n0, n1)`` (times ``n / fs``),
-    evaluated block by block as a sum of phasors.
+@lru_cache(maxsize=8)
+def _ridge_block(source, b):
+    """The modulator's cosine sum over block ``b``, read-only.
 
     Each component is ``a_k cos(theta_k + w_k r)`` at offset ``r`` into a
-    block whose start phase is ``theta_k``, so a block's ridge is the dot
-    product of one coefficient per component, ``(a_k cos theta_k, -a_k sin
-    theta_k)``, with the cached :func:`_modulator_table`.  Every block is
-    computed alone, so any window of the modulator reproduces the same
-    samples bit for bit, and blocks a :class:`RenderStream` holds for
-    ``source`` are reused.
+    block whose start phase is ``theta_k``, so the block is the dot product
+    of one coefficient per component, ``(a_k cos theta_k, -a_k sin
+    theta_k)``, with the cached :func:`_modulator_table`.  The cache holds
+    the three blocks a 0.1 s step touches for each of two speakers.
     """
     freqs, amps, phases = _modulator_params(source)
-    table = _modulator_table(source)
+    theta = 2.0 * np.pi * freqs * (b * _BLOCK / SAMPLE_RATE) + phases
+    block = np.dot(np.concatenate([amps * np.cos(theta), -amps * np.sin(theta)]),
+                   _modulator_table(source))
+    block.flags.writeable = False
+    return block
 
-    def ridges(b0, b1):
-        theta = 2.0 * np.pi * freqs * (np.arange(b0, b1)[:, None] * _BLOCK / SAMPLE_RATE) + phases
-        coef = np.concatenate([amps * np.cos(theta), -amps * np.sin(theta)], axis=1)
-        return [np.dot(c, table) for c in coef]
 
+def _modulator(source, n0, n1):
+    """:func:`source_envelope` at samples ``[n0, n1)`` (times ``n / fs``),
+    evaluated block by block from :func:`_ridge_block`.  Every block is
+    computed alone, so any window of the modulator reproduces the same
+    samples bit for bit.
+    """
+    amps = _modulator_params(source)[1]
     b0, b1 = n0 // _BLOCK, -(-n1 // _BLOCK)
-    parts = ridges(b0, b1) if stream is None else stream.blocks(source, b0, b1, ridges)
+    parts = [_ridge_block(source, b) for b in range(b0, b1)]
     ridge = np.concatenate(parts)[n0 - b0 * _BLOCK : n1 - b0 * _BLOCK]
     return 0.05 + 0.9 * (1.0 + ridge / np.sum(amps)) / 2.0
 
 
-def _source_samples(source, render_seed, speaker_id, n0, n1, stream=None):
+def _source_samples(source, render_seed, speaker_id, n0, n1):
     """Raw speech waveform samples ``[n0, n1)`` for one speaker."""
-    carrier = _stream(
-        (int(render_seed), _STREAM_CARRIER, int(speaker_id)),
-        n0,
-        n1,
-        lambda rng: rng.uniform(-1.0, 1.0, _BLOCK),
-        stream=stream,
-    )
-    return _modulator(source, n0, n1, stream) * carrier
+    carrier = _stream((int(render_seed), _STREAM_CARRIER, int(speaker_id)), n0, n1)
+    return _modulator(source, n0, n1) * carrier
 
 
 # ---------------------------------------------------------------------------
@@ -409,7 +393,7 @@ def _notch_coeffs(freq_hz):
     return iirnotch(freq_hz, NOTCH_Q, fs=SAMPLE_RATE)
 
 
-def render_binaural(scene, pose, t0, duration, seed, stream=None):
+def render_binaural(scene, pose, t0, duration, seed):
     """Render what the two microphones record over ``[t0, t0 + duration)``.
 
     Each active speaker's waveform is delayed per :func:`itd_for_azimuth` of
@@ -430,9 +414,9 @@ def render_binaural(scene, pose, t0, duration, seed, stream=None):
     it, so its warm-up leaves a few parts in 1e12 of the peak at -60
     degrees.
 
-    Renders through one ``stream`` (a :class:`RenderStream`) reuse the
-    carrier and modulator blocks the previous render shares with them and
-    keep at most two blocks of each; the clip is the same bit for bit.
+    Carrier, modulator and noise blocks are memoized by their stream and
+    index, so a render reuses the blocks the previous render shares with
+    it; the clip is the same bit for bit.
     """
 
     if duration <= 0:
@@ -458,7 +442,7 @@ def render_binaural(scene, pose, t0, duration, seed, stream=None):
         delay = itd_for_azimuth(rel_az) * SAMPLE_RATE
         ext0 = i0 - _FILTER_MARGIN - _DELAY_MARGIN
         ext1 = i1 + _DELAY_MARGIN
-        sig = _source_samples(speaker.speech, seed, sid, ext0, ext1, stream)
+        sig = _source_samples(speaker.speech, seed, sid, ext0, ext1)
         # The speaker only sounds during its turn.
         sig[: max(seg0 - ext0, 0)] = 0.0
         sig[seg1 - ext0 :] = 0.0
@@ -476,12 +460,7 @@ def render_binaural(scene, pose, t0, duration, seed, stream=None):
         out[:, i0 - n0 : i1 - n0] += ears[:, _FILTER_MARGIN:]
 
     if scene.noise_level > 0:
-        noise = _stream(
-            (int(seed), _STREAM_NOISE),
-            n0,
-            n0 + n,
-            lambda rng: rng.normal(0.0, 1.0, (2, _BLOCK)),
-        )
+        noise = _stream((int(seed), _STREAM_NOISE), n0, n0 + n)
         # A level near the float limit overflows to inf here; the clip's
         # finiteness check turns that into a DomainError.
         with np.errstate(over="ignore"):
@@ -519,7 +498,7 @@ def observe_visual(scene, pose):
     return tuple(visible)
 
 
-def mouth_area_signal(speaker, schedule, t0, duration, seed=0, stream=None):
+def mouth_area_signal(speaker, schedule, t0, duration, seed=0):
     """Sampled mouth-area measurement for one speaker at 10 Hz.
 
     While the speaker is active the area follows
@@ -527,8 +506,8 @@ def mouth_area_signal(speaker, schedule, t0, duration, seed=0, stream=None):
     Seeded zero-mean jitter with standard deviation ``0.05 * gain`` models
     measurement noise. Samples are taken at block centers
     ``t0 + (k + 0.5) / 10`` so they align with block-mean resampled audio
-    envelopes.  Calls through one ``stream`` (a :class:`RenderStream`)
-    reuse the jitter blocks the previous call drew.
+    envelopes.  Jitter blocks are memoized like render blocks, so a call
+    reuses the block the previous call drew.
     """
 
     if duration <= 0:
@@ -546,14 +525,7 @@ def mouth_area_signal(speaker, schedule, t0, duration, seed=0, stream=None):
     # Jitter uses its own 10-sample blocks at the mouth rate so that per-step
     # calls reproduce the same stream as one long call.
     k0 = int(round(t0 * MOUTH_RATE_HZ))
-    noise = _stream(
-        (int(seed), _STREAM_JITTER, int(speaker.id)),
-        k0,
-        k0 + n,
-        lambda rng: rng.normal(0.0, 1.0, _JITTER_BLOCK),
-        block=_JITTER_BLOCK,
-        stream=stream,
-    )
+    noise = _stream((int(seed), _STREAM_JITTER, int(speaker.id)), k0, k0 + n)
     return times, areas + 0.05 * speaker.mouth_gain * noise
 
 

@@ -534,7 +534,7 @@ class FakeRender:
     def __init__(self, signal):
         self.signal = signal
 
-    def __call__(self, scene, pose, t0, duration, seed=0, stream=None):
+    def __call__(self, scene, pose, t0, duration, seed=0):
         i = round(t0 * 48_000)
         return SimpleNamespace(audio=self.signal[:, i : i + round(duration * 48_000)])
 

@@ -1,6 +1,7 @@
 """Tests for the alternating-pair benchmark runner in ``tools/``."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -34,3 +35,26 @@ def test_compare_counts_wins_by_the_metric_direction_and_ties_for_neither():
     assert speed["parent"] == {"median": 4.0, "q1": 1.5, "q3": 6.5}
     assert speed["change"]["median"] == 3.5
     assert speed["relative_change"] == pytest.approx(-0.125)
+
+
+@pytest.mark.parametrize("failed, code", [(None, 0), ((302, "change"), 1)])
+def test_main_writes_the_report_and_exits_1_when_a_run_failed(monkeypatch, tmp_path,
+                                                               failed, code):
+    def run_once(checkout, workload, seed, seconds):
+        run = result(**{"w/agent_steps_per_s": float(seed)})
+        if (seed, checkout.name) == failed:
+            run["failed"] = 1
+        return run
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [{"name": "agent_steps_per_s", "better": "higher"}]}')
+    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "301-303", "--name", "t"]
+    assert bench_pairs.main(argv) == code
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["failed_runs"] == ([] if failed is None else [list(failed)])
+    assert [run["seed"] for run in report["runs"]] == [301, 302, 303]

@@ -495,6 +495,28 @@ class TestSimulate:
         assert "error:" in err
 
 
+@pytest.mark.parametrize("case", ["scene_dir", "wav_dir", "mouth_dir", "dataset_dir",
+                                  "out_dir_is_a_file", "output_name_is_a_dir"])
+def test_unreadable_or_unwritable_path_exits_2(case, scene_one, sim_dir, tmp_path, capsys):
+    folder = tmp_path / "folder"
+    (folder / "truth.json").mkdir(parents=True)
+    out = str(tmp_path / "out")
+    argv = {
+        "scene_dir": ["simulate", "--scene", str(folder), "--out-dir", out],
+        "wav_dir": ["avsync", "--wav", str(folder), "--mouth", str(sim_dir / "mouth_1.csv"),
+                    "--out-dir", out],
+        "mouth_dir": ["avsync", "--wav", str(sim_dir / "audio.wav"), "--mouth", str(folder),
+                      "--out-dir", out],
+        "dataset_dir": ["train-localizer", "--dataset", str(folder), "--out-dir", out],
+        "out_dir_is_a_file": ["simulate", "--scene", str(scene_one), "--out-dir", str(scene_one)],
+        "output_name_is_a_dir": ["simulate", "--scene", str(scene_one), "--out-dir", str(folder)],
+    }[case]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 # ---------------------------------------------------------------------------
 # avsync
 

@@ -1,8 +1,14 @@
 """Tests for GCC/ILD feature extraction."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cocktail
 from cocktail import scene as sc
 from cocktail.errors import DomainError
 from cocktail.features import (
@@ -187,3 +193,31 @@ def test_validation_errors():
         ild_features(np.zeros((2, 1)))
     with pytest.raises(DomainError):
         ild_features(np.array([[1.0, np.nan], [1.0, 2.0]]))
+
+
+#: Hashes ``extract_features`` of 20 seeded ``(2, 24000)`` noise snippets.
+FEATURE_DIGEST_SCRIPT = """
+import hashlib
+import numpy as np
+from cocktail.features import extract_features
+rng = np.random.default_rng(0)
+h = hashlib.sha256()
+for _ in range(20):
+    h.update(extract_features(rng.standard_normal((2, 24000))).tobytes())
+print(h.hexdigest())
+"""
+
+
+def test_features_do_not_depend_on_the_blas_thread_count():
+    """The same snippets give the same feature bytes with one BLAS thread
+    and with two, so a dataset does not depend on the machine's cores."""
+    src = str(Path(cocktail.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        child = subprocess.run([sys.executable, "-c", FEATURE_DIGEST_SCRIPT], env=env,
+                               capture_output=True, text=True, check=True, timeout=120)
+        digests.append(child.stdout)
+    assert digests[0] == digests[1]

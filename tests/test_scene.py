@@ -225,53 +225,18 @@ def test_windows_shorter_than_one_sample_are_empty(t0):
     assert times.shape == areas.shape == (0,)
 
 
-class RecordingStream(sc.RenderStream):
-    """A :class:`sc.RenderStream` that records, for each request, the key,
-    the block range, the blocks kept before it and the blocks it drew."""
-
-    def __init__(self):
-        super().__init__()
-        self.calls = []
-
-    def blocks(self, key, b0, b1, draw):
-        drawn = []
-
-        def counted(c0, c1):
-            drawn.extend(range(c0, c1))
-            return draw(c0, c1)
-
-        kept = self._kept.get(key)
-        self.calls.append((key, b0, b1, draw, kept and (kept[0], kept[0] + len(kept[1])), drawn))
-        return super().blocks(key, b0, b1, counted)
-
-
-def check_stream_keeps_only_the_last_forward_blocks(stream):
-    """A request that starts at or after the kept blocks draws only the
-    blocks not kept; each stream then keeps the trailing blocks of its
-    latest such request and nothing else; an earlier start draws all."""
-    for key, b0, b1, _, kept, drawn in stream.calls:
-        if kept is None or b0 >= kept[0]:
-            reused = set(range(*kept)) if kept else set()
-            assert drawn == [b for b in range(b0, b1) if b not in reused]
-        else:
-            assert drawn == list(range(b0, b1))
-    for key, (first, blocks) in stream._kept.items():
-        forward = [(b0, b1, draw) for k, b0, b1, draw, kept, _ in stream.calls
-                   if k == key and (kept is None or b0 >= kept[0])]
-        b0, b1, draw = forward[-1]
-        assert list(range(first, first + len(blocks))) == list(range(b0, b1))[-sc._KEPT_BLOCKS:]
-        for b, block in enumerate(blocks, first):
-            assert np.array_equal(block, draw(b, b + 1)[0])
+def clear_block_caches():
+    sc._seeded_block.cache_clear()
+    sc._ridge_block.cache_clear()
 
 
 def test_renders_through_a_stream_equal_fresh_renders_bit_for_bit():
-    """An episode's sequence of renders and mouth samples through one
-    :class:`sc.RenderStream` equals fresh calls bit for bit: the pre-roll's
-    last 0.5 s, then forward steps of 0.1 s or 0.5 s at changing poses,
-    with the pre-roll's head ``[0, 1.5 s)`` and its mouth samples taken out
-    of order after any step, a turn change inside a step, and noise on or
-    off.  Each stream keeps only the trailing blocks of its latest forward
-    request."""
+    """An episode's sequence of renders and mouth samples, through the
+    memoized seeded and ridge blocks, equals the same calls each made after
+    the caches are cleared, bit for bit: the pre-roll's last 0.5 s, then
+    forward steps of 0.1 s or 0.5 s at changing poses, with the pre-roll's
+    head ``[0, 1.5 s)`` and its mouth samples taken out of order after any
+    step, a turn change inside a step, and noise on or off."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -294,26 +259,53 @@ def test_renders_through_a_stream_equal_fresh_renders_bit_for_bit():
             schedule=sc.TurnSchedule(((0.0, turn_s, 0), (turn_s, 40.0, 1))),
             noise_level=noise,
         )
-        stream = RecordingStream()
-
-        def same(t0, duration, pose):
-            got = sc.render_binaural(scene, pose, t0, duration, seed, stream=stream).audio
-            assert np.array_equal(got, sc.render_binaural(scene, pose, t0, duration, seed).audio)
-            for spk in scene.speakers:
-                got = sc.mouth_area_signal(spk, scene.schedule, t0, duration, seed, stream=stream)
-                assert np.array_equal(got[1], sc.mouth_area_signal(
-                    spk, scene.schedule, t0, duration, seed)[1])
-            check_stream_keeps_only_the_last_forward_blocks(stream)
-
         pose = sc.HeadPose(5.0 * poses[0][0], 5.0 * poses[0][1])
-        same(1.5, 0.5, pose)
+        calls = [(1.5, 0.5, pose)]
         for k, (pan, tilt) in enumerate(poses):
             if k == head_after:
-                same(0.0, 1.5, pose)
+                calls.append((0.0, 1.5, pose))
             pose = sc.HeadPose(5.0 * pan, 5.0 * tilt)
-            same(2.0 + k * step_s, step_s, pose)
+            calls.append((2.0 + k * step_s, step_s, pose))
+
+        def outputs(t0, duration, pose):
+            return [sc.render_binaural(scene, pose, t0, duration, seed).audio] + [
+                sc.mouth_area_signal(spk, scene.schedule, t0, duration, seed)[1]
+                for spk in scene.speakers]
+
+        fresh = []
+        for call in calls:
+            clear_block_caches()
+            fresh.append(outputs(*call))
+        clear_block_caches()
+        for call, want in zip(calls, fresh):
+            got = outputs(*call)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
 
     check()
+
+
+def test_a_forward_step_draws_one_new_carrier_and_one_new_ridge_block():
+    """A 0.1 s render after the one before it reuses the two carrier and
+    ridge blocks their margins share and draws one new block of each, and
+    the mouth samples reuse their jitter block until it runs out; the noise
+    blocks drawn in between, which no later render reads, evict none of
+    them.  A cached block cannot be written to."""
+    scene = single_speaker_scene(30.0, noise=0.01)
+    speaker = scene.speakers[0]
+    clear_block_caches()
+    for k in range(20, 45):
+        seeded = sc._seeded_block.cache_info().misses
+        ridge = sc._ridge_block.cache_info().misses
+        sc.render_binaural(scene, sc.HeadPose(5.0 * (k % 3), 0.0), k / 10, 0.1, seed=7)
+        sc.mouth_area_signal(speaker, scene.schedule, k / 10, 0.1, seed=7)
+        if k > 20:
+            # A carrier block, a noise block, and every tenth step a jitter block.
+            assert sc._seeded_block.cache_info().misses - seeded == 2 + (k % 10 == 0)
+            assert sc._ridge_block.cache_info().misses - ridge == 1
+    for block in (sc._seeded_block((7, sc._STREAM_CARRIER, speaker.id), 44),
+                  sc._ridge_block(speaker.speech, 44)):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0.0
 
 
 def test_render_rejects_noise_that_overflows():

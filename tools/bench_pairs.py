@@ -10,6 +10,8 @@ each side's median and quartiles (``statistics.quantiles(values, n=4)``),
 the change's median relative to the parent's, and the pairs the change won
 (ties count for neither side), and writes all of it, every run included, to
 ``BENCH_<name>.json`` at the root of the repository this script sits in.
+It exits 1, after writing the report, when any run failed a check or an
+operation, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -118,6 +120,10 @@ def main(argv=None) -> int:
               f"{m['parent']['q3']:.6g}] -> {m['change']['median']:.6g} "
               f"({m['change_wins']}/{m['pairs']} won) {m['unit']}")
     print(f"written to {path}")
+    if report["failed_runs"]:
+        print(f"runs that failed a check or an operation: {report['failed_runs']}",
+              file=sys.stderr)
+        return 1
     return 0
 
 
