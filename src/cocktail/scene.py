@@ -219,7 +219,7 @@ class BinauralClip:
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _seeded_block(key, b):
     """Block ``b`` of the random stream ``key``, read-only.
 
@@ -227,8 +227,8 @@ def _seeded_block(key, b):
     window of the stream can be reproduced without generating its prefix,
     and its length and distribution come from the stream kind ``key[1]``,
     an entry of ``_STREAM_KINDS``.  The cache holds what one 0.1 s step
-    touches, about three carrier blocks, a noise block and a jitter block,
-    so consecutive renders reuse the blocks their margins share.
+    reads, three carrier blocks and a jitter block, so a render reuses the
+    two carrier blocks under the margin it shares with the one before it.
     """
     draw = _STREAM_KINDS[key[1]][1]
     block = draw(np.random.default_rng(np.random.SeedSequence(key + (b,))))
@@ -242,15 +242,17 @@ def _stream(key, n0, n1):
 
     Negative indices (before the start of time) yield zeros.  An empty
     window still draws the block it starts in, which gives the result its
-    shape.
+    shape.  Noise blocks bypass the cache: no two renders of an episode
+    share one, so caching them would only evict the blocks that are shared.
     """
 
     block = _STREAM_KINDS[key[1]][0]
+    block_at = _seeded_block.__wrapped__ if key[1] == _STREAM_NOISE else _seeded_block
     pad0 = max(0, -n0)
     n0 += pad0
     b0 = n0 // block
     b1 = max(-(-n1 // block), b0 + 1)
-    parts = [_seeded_block(key, b) for b in range(b0, b1)]
+    parts = [block_at(key, b) for b in range(b0, b1)]
     chunk = np.concatenate(parts, axis=-1)[..., n0 - b0 * block : n1 - b0 * block]
     if pad0:
         chunk = np.concatenate([np.zeros(chunk.shape[:-1] + (pad0,)), chunk], axis=-1)
@@ -294,15 +296,15 @@ def _modulator_table(source):
     return np.concatenate([np.cos(w), np.sin(w)])
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=4)
 def _ridge_block(source, b):
     """The modulator's cosine sum over block ``b``, read-only.
 
     Each component is ``a_k cos(theta_k + w_k r)`` at offset ``r`` into a
     block whose start phase is ``theta_k``, so the block is the dot product
     of one coefficient per component, ``(a_k cos theta_k, -a_k sin
-    theta_k)``, with the cached :func:`_modulator_table`.  The cache holds
-    the three blocks a 0.1 s step touches for each of two speakers.
+    theta_k)``, with the cached :func:`_modulator_table`.  Like
+    :func:`_seeded_block`, the cache holds the blocks one 0.1 s step reads.
     """
     freqs, amps, phases = _modulator_params(source)
     theta = 2.0 * np.pi * freqs * (b * _BLOCK / SAMPLE_RATE) + phases
@@ -414,9 +416,9 @@ def render_binaural(scene, pose, t0, duration, seed):
     it, so its warm-up leaves a few parts in 1e12 of the peak at -60
     degrees.
 
-    Carrier, modulator and noise blocks are memoized by their stream and
-    index, so a render reuses the blocks the previous render shares with
-    it; the clip is the same bit for bit.
+    Carrier and modulator blocks are memoized by their stream and index,
+    so a render reuses the blocks the previous render shares with it; the
+    clip is the same bit for bit.
     """
 
     if duration <= 0:
