@@ -416,8 +416,6 @@ def turn_taking_rows(scene: Scene, duration: float, seed: int, window_s: float):
 
 #: The longest ``attention-map --duration-s``: a 600 s clip is 460 MB of audio.
 MAX_ATTENTION_S = 600.0
-#: Samples of the clip fed to the azimuth tracker at a time (0.5 s).
-ATTENTION_SLICE_SAMPLES = SAMPLE_RATE // 2
 
 
 def attention_map_rows(azimuths, duration: float, noise_level: float,
@@ -437,12 +435,9 @@ def attention_map_rows(azimuths, duration: float, noise_level: float,
             noise_level=noise_level,
         )
         audio = render_binaural(scene, HeadPose(0.0, 0.0), 0.0, duration, seed=seed).audio
-        # The tracker's posterior does not depend on the chunking; slices
-        # keep its band buffer at one slice instead of 32 times the clip.
-        # An empty clip still reaches the tracker, which rejects it.
-        tracker = frontend.AzimuthTracker()
-        for s0 in range(0, max(audio.shape[1], 1), ATTENTION_SLICE_SAMPLES):
-            posterior = tracker.feed(audio[:, s0 : s0 + ATTENTION_SLICE_SAMPLES])
+        # The tracker holds one frame of bands whatever the clip's length,
+        # and rejects an empty clip.
+        posterior = frontend.AzimuthTracker().feed(audio)
         estimate = frontend.estimate_location(posterior)
         rows.append(
             (float(azimuth), float(estimate), abs(float(estimate) - float(azimuth)),

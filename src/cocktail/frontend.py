@@ -163,10 +163,11 @@ class GammatoneStream:
         """Filter one ``(2, n)`` chunk; returns ``(num_bands, 2, n)`` band signals.
 
         With ``out``, a ``(num_bands, 2, n)`` float64 array whose last axis is
-        contiguous (such as a slice of a larger band buffer), the bands are
-        filtered in place there and ``out`` is returned; the result is the
-        same bit for bit.  The filter kernel runs on each band's one-channel
-        ``(1, n)`` rows, which are C-contiguous in any such array.
+        contiguous (such as a span of :class:`AzimuthTracker`'s one-frame
+        band buffer), the bands are filtered in place there and ``out`` is
+        returned; the result is the same bit for bit.  The filter kernel runs
+        on each band's one-channel ``(1, n)`` rows, which are C-contiguous in
+        any such array.
         """
         x = as_stereo(x)
         if x.shape[1] == 0:
@@ -353,8 +354,9 @@ class AzimuthPosterior:
         object.__setattr__(self, "probs", probs)
         if probs.shape != AZIMUTH_BINS.shape:
             raise DomainError(f"posterior needs {len(AZIMUTH_BINS)} bins, got shape {probs.shape}")
-        if np.any(probs < 0) or abs(probs.sum() - 1.0) > 1e-9:
-            raise DomainError("posterior must be a normalized probability vector")
+        # Written so that a NaN entry fails the test rather than passing it.
+        if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-9):
+            raise DomainError("posterior must be a finite, normalized probability vector")
 
 
 def uniform_posterior():
@@ -373,8 +375,8 @@ def update_posterior(prior, salience):
     salience = np.asarray(salience, dtype=np.float64)
     if salience.shape != prior.probs.shape:
         raise DomainError("salience length must match the posterior bins")
-    if np.any(salience < 0) or np.any(salience > 1):
-        raise DomainError("salience entries must lie in [0, 1]")
+    if not np.all((salience >= 0) & (salience <= 1)):  # NaN fails both
+        raise DomainError("salience entries must be finite and lie in [0, 1]")
     if salience.max() > 0:
         logits = (salience - salience.max()) / TEMPERATURE_TAU
         likelihood = np.exp(logits)
@@ -408,42 +410,38 @@ def estimate_location(posterior):
 class AzimuthTracker:
     """Listen to a stereo stream and keep the azimuth posterior up to date.
 
-    Each :meth:`feed` filters the chunk with a :class:`GammatoneStream`
-    straight into one band buffer, behind the band samples kept from earlier
-    feeds; beamforms every whole ``FRAME_S`` frame that the buffer now holds
-    in one :func:`beamform_salience` call; and folds the rows into the
-    posterior in order.  Only the samples of an unfinished frame are kept, at
-    the front of the buffer, which grows to the longest feed and is reused
-    after that; a feed of whole frames keeps nothing, so no sample is
-    filtered or beamformed twice.  Feeding a signal in any chunking gives the
-    same posterior as one feed of the whole signal.
+    The tracker holds one ``(num_bands, 2, _FRAME)`` band buffer for its
+    whole life, so a feed of any length needs one frame of band memory.
+    Each :meth:`feed` walks the chunk a ``FRAME_S`` frame at a time: it
+    filters the piece that completes the current frame with a
+    :class:`GammatoneStream` into the buffer, beamforms the full frame with
+    :func:`beamform_salience` and folds the row into the posterior.  A
+    partial frame waits in the buffer for the next feed, so no sample is
+    filtered or beamformed twice, and feeding a signal in any chunking gives
+    the same posterior as one feed of the whole signal.
     """
 
     def __init__(self, num_bands=NUM_BANDS):
         self.stream = GammatoneStream(make_gammatone_bank(num_bands=num_bands))
-        self._bands = np.zeros((num_bands, 2, 0))
+        self._bands = np.empty((num_bands, 2, _FRAME))
         self._kept = 0
         self.posterior = uniform_posterior()
 
     def feed(self, stereo):
         """Analyze a ``(2, n)`` chunk; returns the updated posterior."""
-        # A fresh buffer per feed would be freed at the end of each call, and
-        # at full-fidelity sizes (32 bands, 0.5 s chunks) the allocator then
-        # hands the memory back to the system and every call faults in fresh
-        # pages.
-        stereo = as_stereo(stereo)  # process rejects an empty chunk
-        n = self._kept + stereo.shape[1]
-        if self._bands.shape[2] < n:
-            grown = np.empty(self._bands.shape[:2] + (n,))
-            grown[:, :, : self._kept] = self._bands[:, :, : self._kept]
-            self._bands = grown
-        self.stream.process(stereo, out=self._bands[:, :, self._kept : n])
-        if n >= _FRAME:
-            salience = beamform_salience(self._bands[:, :, :n])
-            for row in salience:
+        stereo = as_stereo(stereo)  # before any piece reaches the filter state
+        n = stereo.shape[1]
+        if n == 0:
+            raise DomainError("chunk must hold at least one sample")
+        s0 = 0
+        while s0 < n:
+            take = min(_FRAME - self._kept, n - s0)
+            self.stream.process(stereo[:, s0 : s0 + take],
+                                out=self._bands[:, :, self._kept : self._kept + take])
+            s0 += take
+            self._kept += take
+            if self._kept == _FRAME:
+                (row,) = beamform_salience(self._bands)
                 self.posterior = update_posterior(self.posterior, row)
-            used = len(salience) * _FRAME
-            self._bands[:, :, : n - used] = self._bands[:, :, used:n]
-            n -= used
-        self._kept = n
+                self._kept = 0
         return self.posterior

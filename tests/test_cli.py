@@ -714,8 +714,8 @@ class TestAttentionMap:
         assert not (tmp_path / "attention_map.csv").exists()
 
     def test_rows_match_one_whole_clip_feed(self):
-        """The tracker reads the clip in slices and gets the posterior of
-        one feed of the whole clip."""
+        """Each row holds the estimate and peak of one whole-clip feed of
+        the tracker."""
         (row,) = cli.attention_map_rows([-20.0], 1.3, 0.003, 0.0, 5)
         scene = sc.Scene(
             speakers=(sc.SpeakerSpec(id=1, azimuth_world=-20.0, elevation_world=0.0,

@@ -1,5 +1,7 @@
 """Tests for the auditory frontend: gammatone bank, beamformers, posterior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.signal import sosfilt
@@ -289,6 +291,29 @@ def test_posterior_always_normalized():
         assert np.all(post.probs >= 0)
 
 
+def peak_next_to_nan():
+    salience = np.zeros(37)
+    salience[3], salience[4] = 0.5, np.nan
+    return salience
+
+
+@pytest.mark.parametrize("salience", [np.full(37, np.nan), peak_next_to_nan()],
+                         ids=["all-nan", "peak-next-to-nan"])
+def test_update_posterior_rejects_nan_salience(salience):
+    """A NaN makes ``salience.max() > 0`` false, which would pass the step
+    off as silence and apply a uniform likelihood."""
+    with pytest.raises(DomainError, match="finite"):
+        fe.update_posterior(fe.uniform_posterior(), salience)
+
+
+def test_posterior_rejects_nan_entries():
+    one_nan = np.full(37, 1.0 / 36)
+    one_nan[10] = np.nan
+    for probs in (np.full(37, np.nan), one_nan):
+        with pytest.raises(DomainError, match="finite"):
+            fe.AzimuthPosterior(probs)
+
+
 def entropy(posterior):
     p = posterior.probs[posterior.probs > 0]
     return float(-np.sum(p * np.log(p)))
@@ -498,29 +523,84 @@ def test_tracker_matches_frame_loop_bit_for_bit(num_bands, chunk_s):
 
 
 def test_tracker_reuses_one_band_buffer(monkeypatch):
-    """A feed of whole frames beamforms every sample it filtered and keeps
-    none, so no frame is transformed twice; a partial frame is kept, in the
-    same band buffer, until a later feed completes it.  The buffer grows to
-    the longest feed and is reused: one made per feed, freed at the end of
-    each call, has every full-fidelity feed (32 bands, 0.5 s) fault its
-    memory in afresh."""
+    """The tracker beamforms one frame per call, always from its one
+    ``(num_bands, 2, FRAME)`` band buffer: a 0.5 s feed makes five calls and
+    keeps nothing; a 0.05 s feed stays in the buffer until the next 0.05 s
+    completes the frame."""
     beamformed = []
     beamform = fe.beamform_salience
 
     def counted(bands):
-        beamformed.append(bands.shape[2])
+        beamformed.append(bands)
         return beamform(bands)
 
     monkeypatch.setattr(fe, "beamform_salience", counted)
     tracker = fe.AzimuthTracker(32)
+    buffer = tracker._bands
+    assert buffer.shape == (32, 2, FRAME)
     rng = np.random.default_rng(3)
     tracker.feed(rng.standard_normal((2, 24_000)))
-    buffer = tracker._bands
-    assert buffer.shape == (32, 2, 24_000)
-    assert beamformed == [24_000] and tracker._kept == 0
+    assert len(beamformed) == 5 and tracker._kept == 0
     tracker.feed(rng.standard_normal((2, 2_400)))
-    assert tracker._bands is buffer and tracker._kept == 2_400
-    assert beamformed == [24_000]
+    assert len(beamformed) == 5 and tracker._kept == 2_400
     tracker.feed(rng.standard_normal((2, 2_400)))
-    assert tracker._bands is buffer and tracker._kept == 0
-    assert beamformed == [24_000, 4_800]
+    assert len(beamformed) == 6 and tracker._kept == 0
+    assert tracker._bands is buffer
+    assert all(bands is buffer for bands in beamformed)
+
+
+def test_tracker_posterior_does_not_depend_on_the_chunking():
+    """Random chunkings (pieces shorter than a frame, whole frames, pieces
+    off the frame grid) give the posterior of one feed of the whole signal
+    bit for bit, and every feed works in the same one-frame band buffer."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    piece = st.one_of(st.integers(1, FRAME - 1), st.integers(1, 3).map(lambda k: k * FRAME),
+                      st.integers(1, 3 * FRAME))
+
+    @hyp.settings(max_examples=20, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.sampled_from([8, 32]),
+        pieces=st.lists(piece, min_size=1, max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(num_bands, pieces, seed):
+        cuts = np.cumsum([0] + pieces)
+        x = np.random.default_rng(seed).standard_normal((2, cuts[-1]))
+        tracker = fe.AzimuthTracker(num_bands)
+        buffer = tracker._bands
+        assert buffer.shape == (num_bands, 2, FRAME)
+        for a, b in zip(cuts[:-1], cuts[1:]):
+            tracker.feed(x[:, a:b])
+            assert tracker._bands is buffer
+        assert tracker._kept == cuts[-1] % FRAME
+        whole = fe.AzimuthTracker(num_bands).feed(x)
+        assert np.array_equal(tracker.posterior.probs, whole.probs)
+
+    check()
+
+
+def test_tracker_memory_does_not_grow_with_the_chunk():
+    """Feeding a fresh 32-band tracker one 2 s chunk peaks within 1 MB of
+    feeding it 0.1 s: the band memory is one frame, not the chunk."""
+    rng = np.random.default_rng(5)
+    fe.AzimuthTracker(32).feed(rng.standard_normal((2, FRAME)))  # fill the caches
+    peaks = []
+    for n in (FRAME, 20 * FRAME):
+        chunk = rng.standard_normal((2, n))
+        tracker = fe.AzimuthTracker(32)
+        tracemalloc.start()
+        try:
+            tracker.feed(chunk)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
+
+
+def test_tracker_rejects_an_empty_chunk():
+    tracker = fe.AzimuthTracker(8)
+    with pytest.raises(DomainError, match="at least one sample"):
+        tracker.feed(np.zeros((2, 0)))
+    assert tracker._kept == 0
+    assert np.array_equal(tracker.posterior.probs, fe.uniform_posterior().probs)

@@ -7,9 +7,17 @@ Pair ``i`` runs ``perfbench/run.py --workload W --seed s --trace 0`` once in
 each checkout, one process at a time; the parent runs first in even pairs
 and the change first in odd ones.  For every end-to-end metric it reports
 each side's median and quartiles (``statistics.quantiles(values, n=4)``),
-the change's median relative to the parent's, and the pairs the change won
-(ties count for neither side), and writes all of it, every run included, to
-``BENCH_<name>.json`` at the root of the repository this script sits in.
+the change's median relative to the parent's, the pairs the change won
+(ties count for neither side), and two verdicts:
+
+- ``gain``: the change won at least 9 of every 10 pairs, and its median
+  beats the parent's by more than the parent's interquartile range;
+- ``within_bound``: the change's median is worse than the parent's by no
+  more than the metric's ``BENCHMARK.json`` bound, a fraction of the
+  parent's median (``null`` for a metric without a bound).
+
+It writes all of it, every run included, to ``BENCH_<name>.json`` at the
+root of the repository this script sits in.
 It exits 1, after writing the report, when any run failed a check or an
 operation, and 0 otherwise.
 """
@@ -58,8 +66,19 @@ def quartiles(values: list[float]) -> dict:
     return {"median": median, "q1": q1, "q3": q3}
 
 
-def compare(pairs: list[dict], better: dict) -> dict:
-    """Per metric: each side's median and quartiles, and the change's wins."""
+def verdicts(summary: dict, bound: float | None) -> dict:
+    """The ``gain`` and ``within_bound`` verdicts of one metric's summary."""
+    sign = 1 if summary["better"] == "higher" else -1
+    parent = summary["parent"]
+    gained = sign * (summary["change"]["median"] - parent["median"])
+    return {"gain": (10 * summary["change_wins"] >= 9 * summary["pairs"]
+                     and gained > parent["q3"] - parent["q1"]),
+            "within_bound": None if bound is None else -gained <= bound * abs(parent["median"])}
+
+
+def compare(pairs: list[dict], better: dict, bounds: dict | None = None) -> dict:
+    """Per metric: each side's median and quartiles, the change's wins, and
+    the verdicts, with ``bounds`` keyed like ``better``."""
     out = {}
     for name, first in pairs[0]["parent"]["metrics"].items():
         base = name.split("/")[-1]
@@ -73,6 +92,7 @@ def compare(pairs: list[dict], better: dict) -> dict:
                    "pairs": len(pairs)}
         p50 = summary["parent"]["median"]
         summary["relative_change"] = (summary["change"]["median"] - p50) / p50 if p50 else None
+        summary.update(verdicts(summary, (bounds or {}).get(base)))
         out[name] = summary
     return out
 
@@ -90,6 +110,7 @@ def main(argv=None) -> int:
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds = args.seconds or bench["run_seconds"]
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
 
     pairs = []
     for i, seed in enumerate(seed_list(args.seeds)):
@@ -107,7 +128,7 @@ def main(argv=None) -> int:
         "seeds": seed_list(args.seeds),
         "parent": revision(args.parent),
         "change": revision(args.change),
-        "metrics": compare(pairs, better),
+        "metrics": compare(pairs, better, bounds),
         # Runs that failed a check or an operation, as [seed, side].
         "failed_runs": [[p["seed"], side] for p in pairs for side in ("parent", "change")
                         if not p[side]["correct"] or p[side]["failed"]],
@@ -118,7 +139,8 @@ def main(argv=None) -> int:
     for name, m in report["metrics"].items():
         print(f"{name:<34} {m['parent']['median']:.6g} [{m['parent']['q1']:.6g}, "
               f"{m['parent']['q3']:.6g}] -> {m['change']['median']:.6g} "
-              f"({m['change_wins']}/{m['pairs']} won) {m['unit']}")
+              f"({m['change_wins']}/{m['pairs']} won) {m['unit']}; "
+              f"gain {m['gain']}, within bound {m['within_bound']}")
     print(f"written to {path}")
     if report["failed_runs"]:
         print(f"runs that failed a check or an operation: {report['failed_runs']}",
