@@ -38,7 +38,7 @@ import numpy as np
 
 from . import frontend
 from .avsync import analytic_envelope, correlate_min_p, resample_envelope, reward
-from .errors import DomainError, FormatError, InputError
+from .errors import DomainError, load_model, save_model
 from .fuzzy import classify, term_index
 from .scene import (
     ACTIONS,
@@ -644,31 +644,14 @@ def evaluate(
 
 
 def save_qtable(path, qtable: QTable) -> None:
-    """Save a Q table (values and visit counts) to ``path`` as a .npz file.
-
-    The file handle is opened explicitly so the exact filename is used.
-    """
+    """Save a Q table (values and visit counts) to ``path`` as a .npz file."""
     qt = _validate_qtable(qtable)
-    with open(path, "wb") as fh:
-        np.savez(fh, values=qt.values, visit_counts=qt.visit_counts)
+    save_model(path, {"values": qt.values, "visit_counts": qt.visit_counts})
 
 
 def load_qtable(path) -> QTable:
     """Load and validate a Q table written by :func:`save_qtable`."""
-    try:
-        with open(path, "rb") as fh:
-            archive = np.load(fh)
-            data = {name: archive[name] for name in archive.files}
-    except FileNotFoundError:
-        raise InputError(f"no such Q-table file: {path}") from None
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"not a valid Q-table file: {path}") from exc
-    missing = {"values", "visit_counts"} - set(data)
-    if missing:
-        raise FormatError(f"Q-table file missing arrays: {sorted(missing)}")
-    try:
-        return _validate_qtable(
-            QTable(values=data["values"], visit_counts=data["visit_counts"])
-        )
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    shape = (N_STATES, N_ACTIONS)
+    return load_model(path, "Q-table file",
+                      {"values": (np.float64, shape), "visit_counts": (np.int64, shape)},
+                      lambda **arrays: _validate_qtable(QTable(**arrays)))

@@ -66,6 +66,7 @@ from .errors import (
     FormatError,
     InputError,
     ParseError,
+    read_text,
 )
 from .scene import (
     MOUTH_RATE_HZ,
@@ -106,15 +107,6 @@ def resolve_seed(arg_seed) -> int:
     if seed < 0:
         raise InputError(f"seed must be non-negative, got {seed}")
     return seed
-
-
-def _read_text(path, what) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such {what}: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
 def _out_dir(args) -> Path:
@@ -187,7 +179,7 @@ def load_scene_config(path) -> tuple[Scene, float]:
     or any other field that is not a JSON number (a bool or a string
     included), raises :class:`FormatError` too.
     """
-    text = _read_text(path, "scene file")
+    text = read_text(path, "scene file")
     try:
         doc = json.loads(text, parse_constant=finite_float, parse_float=finite_float)
     except json.JSONDecodeError as exc:
@@ -319,8 +311,7 @@ def write_mouth_csv(path, times, areas) -> None:
 
 def read_mouth_csv(path) -> np.ndarray:
     """Read the areas of a mouth-area CSV whose times step by 0.1 s."""
-    text = _read_text(path, "mouth-area file")
-    lines = text.splitlines()
+    lines = read_text(path, "mouth-area file").splitlines()
     if not lines or lines[0].strip() != "time_s,area":
         raise FormatError(f"{path}: expected header 'time_s,area'")
     areas = []
@@ -836,12 +827,9 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (InputError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except OSError as exc:
-        # A path that cannot be read or written: a directory given as a
-        # file, an output directory that names a file, and the like.
+    except (InputError, DomainError, OSError) as exc:
+        # OSError: a path that cannot be read or written, such as a directory
+        # given as a file or an output directory that names a file.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except DegenerateDataError as exc:

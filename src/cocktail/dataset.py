@@ -29,7 +29,7 @@ import numpy as np
 from .agent import run_episodes
 # perfbench looks these two up here; this module itself does not use them.
 from .agent import EVIDENCE_WINDOW_SAMPLES, EvidenceBuffer  # noqa: F401
-from .errors import DomainError, FormatError, InputError, ParseError
+from .errors import DomainError, FormatError, InputError, ParseError, read_text
 from .features import FEATURE_DIM, extract_features
 from .scene import HeadPose
 
@@ -185,13 +185,7 @@ def read_dataset(path) -> tuple[list[LabeledRecord], dict]:
     the line number) for malformed JSON, and :class:`FormatError` for an
     unknown format name, unsupported version, or schema violations.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except FileNotFoundError:
-        raise InputError(f"no such dataset file: {path}") from None
-    except UnicodeDecodeError as exc:
-        raise FormatError(f"dataset file {path} is not UTF-8 text: {exc}") from None
-    lines = text.splitlines()
+    lines = read_text(path, "dataset file").splitlines()
     if not lines:
         raise FormatError("empty dataset file")
     header = _parse_line(1, lines[0])

@@ -7,9 +7,10 @@ beamformers scans candidate azimuths via the interaural time difference of
 each bin, and per-frame beamformer energies are folded into a sequential
 Bayesian posterior over a 37-bin azimuth map.
 
-``beamform_salience`` steers each beam by splitting the bin's ITD across the
-two channels (left advanced by half the lag, right retarded by half) and
-summing the zero-padded frame segments over their full overlap::
+``beamform_salience`` takes one ``FRAME_S`` frame of band signals.  It
+steers each beam by splitting the bin's ITD across the two channels (left
+advanced by half the lag, right retarded by half) and sums the zero-padded
+frame over its full overlap::
 
     E(d) = sum_n (L[n + d/2] + R[n - d/2])^2
 
@@ -18,7 +19,7 @@ expanded algebraically: the squared terms reduce to two frame sums (signal
 energy and one-sample autocovariance, combined by the interpolation
 weights), and the cross term is gathered from the frame's band-summed
 cross-correlation at a few dozen lags, computed by one batched FFT of frame
-length.  Frames of ``FRAME_S`` step by one frame and do not overlap, so each
+length.  The tracker's frames step by one frame and do not overlap, so each
 sample is analyzed once.  The result matches brute-force delay-and-sum to
 rounding error, and channel swap maps exactly onto lag negation.
 """
@@ -254,88 +255,67 @@ def make_beamformer_bank():
     )
 
 
+#: FFT length of :func:`beamform_salience`'s cross-correlation, which is read
+#: at lag indices ``0 .. 2 max_lag + 3`` only: ``FRAME + 2 max_lag + 4`` or
+#: more keeps every read clear of the circularly wrapped tail.
+_NFFT = sfft.next_fast_len(_FRAME + 2 * (make_beamformer_bank().max_lag + 2), real=True)
+
+
 @lru_cache(maxsize=4)
-def _transform_buffer(nb, m):
-    """The ``(2 nb, m)`` FFT input of :func:`beamform_salience`, shared by
-    every call with ``nb`` bands: rows ``0 .. nb - 1`` hold L shifted right
-    by ``k0``, rows ``nb ..`` hold R.  Each frame overwrites only those
+def _transform_buffer(nb):
+    """The ``(2 nb, _NFFT)`` FFT input of :func:`beamform_salience`, shared
+    by every call with ``nb`` bands: rows ``0 .. nb - 1`` hold L shifted
+    right by ``k0``, rows ``nb ..`` hold R.  Each frame overwrites only those
     spans, so the zero padding around them is laid down once per process.
     Sharing it is safe because the program beamforms on one thread."""
-    return np.zeros((2 * nb, m))
+    return np.zeros((2 * nb, _NFFT))
 
 
-def beamform_salience(bands):
-    """Per-frame azimuth salience from delay-and-sum beamformer energies.
+def beamform_salience(frame):
+    """Azimuth salience of one ``FRAME_S`` frame of stereo band signals.
 
-    ``bands`` holds stereo band signals, shape ``(num_bands, 2, n)`` as
-    :meth:`GammatoneStream.process` returns them.  For every whole
-    ``FRAME_S`` frame (frames do not overlap; a partial frame at the end is
-    left out) and azimuth bin, the left bands are delayed by the bin's ITD
-    (linear interpolation for fractional lags) and summed with the right
-    bands; the energy summed over bands, clamped at zero against rounding
-    and normalized to the frame maximum, is the salience.  Silent frames
-    yield all-zero rows.  Returns an array of shape ``(n_frames, 37)``.
-
-    A frame's row depends only on its own samples, bit for bit, so
-    beamforming a buffer in one call or frame by frame gives the same rows.
+    ``frame`` has shape ``(num_bands, 2, FRAME)``, as :class:`AzimuthTracker`
+    fills its band buffer; any other shape raises :class:`DomainError`.  For
+    every azimuth bin the left bands are delayed by the bin's ITD (linear
+    interpolation for fractional lags) and summed with the right bands; the
+    energy summed over bands, clamped at zero against rounding and
+    normalized to the frame maximum, is the salience (all zero for a silent
+    frame).  Returns shape ``(1, 37)``, one row for the frame.
     """
 
-    bands = np.asarray(bands, dtype=np.float64)
-    if bands.ndim != 3 or bands.shape[1] != 2:
-        raise DomainError(f"bands must have shape (num_bands, 2, n), got {bands.shape}")
-    nb, _, n = bands.shape
-    if _FRAME > n:
-        raise DomainError("frame longer than signal")
-    n_frames = n // _FRAME
+    frame = np.asarray(frame, dtype=np.float64)
+    if frame.ndim != 3 or frame.shape[1:] != (2, _FRAME):
+        raise DomainError(f"frame must have shape (num_bands, 2, {_FRAME}), got {frame.shape}")
+    nb = frame.shape[0]
+    lf, rf = frame[:, 0], frame[:, 1]
 
-    bank = make_beamformer_bank()
-    k0 = bank.max_lag + 1
-    # A row of sums holds the cross-correlation cc[k0 + q] = sum_b sum_n
-    # L_b[n + q] R_b[n] at the 2w read lags q in [-k0, k0 + 1], then the
-    # four sums of the squared terms: left energy, left one-sample
-    # autocovariance, and the same for the right.
     # The energy summed over bands is linear in each band's sums, so every
     # term is summed over bands first.  Full-overlap sums of the
     # interpolated shifted squares are independent of the integer part of
     # the shift: they need only the energy and the one-sample autocovariance.
-    w = k0 + 1
-    sums = np.empty((n_frames, 2 * w + 4))
+    sa_l, sb_l = np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:])
+    sa_r, sb_r = np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:])
 
-    # The FFT correlation is read at lag indices 0 .. 2k0 + 1 only; an FFT
-    # length of frame + 2k0 + 2 keeps every read free of circular aliasing
-    # (the wrapped tail of the correlation stays beyond the read range).
-    m = sfft.next_fast_len(_FRAME + 2 * w, real=True)
-    stacked = _transform_buffer(nb, m)
-    for f in range(n_frames):
-        lf = bands[:, 0, f * _FRAME : (f + 1) * _FRAME]
-        rf = bands[:, 1, f * _FRAME : (f + 1) * _FRAME]
-        sums[f, 2 * w :] = (
-            np.einsum("bn,bn->", lf, lf), np.einsum("bn,bn->", lf[:, :-1], lf[:, 1:]),
-            np.einsum("bn,bn->", rf, rf), np.einsum("bn,bn->", rf[:, :-1], rf[:, 1:]),
-        )
-        stacked[:nb, k0 : k0 + _FRAME] = lf
-        stacked[nb:, :_FRAME] = rf
-        spec = sfft.rfft(stacked, axis=1)
-        cross = (spec[:nb] * np.conj(spec[nb:])).sum(axis=0)
-        # Free the spectra as soon as they are used, so a many-frame call
-        # needs one frame's scratch memory rather than two.
-        del spec
-        sums[f, : 2 * w] = sfft.irfft(cross, m)[: 2 * w]
-
-    cc = sums[:, : 2 * w]
-    sa_l, sb_l, sa_r, sb_r = sums.T[2 * w :, :, None]
+    # cc[k0 + q] = sum_b sum_n L_b[n + q] R_b[n], read at lags q in [-k0, k0 + 1].
+    bank = make_beamformer_bank()
+    k0 = bank.max_lag + 1
+    stacked = _transform_buffer(nb)
+    stacked[:nb, k0 : k0 + _FRAME] = lf
+    stacked[nb:, :_FRAME] = rf
+    spec = sfft.rfft(stacked, axis=1)
+    cc = sfft.irfft((spec[:nb] * np.conj(spec[nb:])).sum(axis=0), _NFFT)
 
     (a_l, b_l), (a_r, b_r) = bank.self_weights
     c0, cm, cp, c1 = bank.cross_weights
     at = k0 + bank.shift
-    mid = cc[:, at]
+    mid = cc[at]
     s_ll = a_l * sa_l + b_l * sb_l
     s_rr = a_r * sa_r + b_r * sb_r
-    s_lr = c0 * mid + cm * cc[:, at - 1] + cp * cc[:, at + 1] + c1 * mid
+    s_lr = c0 * mid + cm * cc[at - 1] + cp * cc[at + 1] + c1 * mid
 
-    total = np.maximum(s_ll + 2.0 * s_lr + s_rr, 0.0)
-    peak = total.max(axis=1, keepdims=True)
-    return np.divide(total, peak, out=np.zeros_like(total), where=peak > 0)
+    total = np.maximum(s_ll + 2.0 * s_lr + s_rr, 0.0)[None]
+    peak = total.max()
+    return total / peak if peak > 0 else np.zeros_like(total)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from zlib import crc32
 
 import numpy as np
 
-from .errors import DegenerateDataError, DomainError, FormatError, InputError
+from .errors import DegenerateDataError, DomainError, load_model, save_model
 from .features import FEATURE_DIM
 
 #: Degrees between adjacent classes of either head.
@@ -384,26 +384,11 @@ def evaluate_localizer(model: MLPLocalizer, records, prefix: str = "") -> dict:
 
 
 def save_localizer(path, model: MLPLocalizer) -> None:
-    """Save all model arrays to ``path`` as a .npz file (exact filename)."""
-    arrays = {name: getattr(model, name) for name in MLPLocalizer._SHAPES}
-    with open(path, "wb") as fh:
-        np.savez(fh, **arrays)
+    """Save all model arrays to ``path`` as a .npz file."""
+    save_model(path, {name: getattr(model, name) for name in MLPLocalizer._SHAPES})
 
 
 def load_localizer(path) -> MLPLocalizer:
     """Load and validate a model written by :func:`save_localizer`."""
-    try:
-        with open(path, "rb") as fh:
-            archive = np.load(fh)
-            data = {name: archive[name] for name in archive.files}
-    except FileNotFoundError:
-        raise InputError(f"no such localizer file: {path}") from None
-    except (ValueError, OSError) as exc:
-        raise FormatError(f"not a valid localizer file: {path}") from exc
-    missing = set(MLPLocalizer._SHAPES) - set(data)
-    if missing:
-        raise FormatError(f"localizer file missing arrays: {sorted(missing)}")
-    try:
-        return MLPLocalizer(**{name: data[name] for name in MLPLocalizer._SHAPES})
-    except DomainError as exc:
-        raise FormatError(str(exc)) from exc
+    return load_model(path, "localizer file", {
+        name: (np.float64, shape) for name, shape in MLPLocalizer._SHAPES.items()}, MLPLocalizer)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,6 +38,19 @@ def test_compare_counts_wins_by_the_metric_direction_and_ties_for_neither():
     assert speed["relative_change"] == pytest.approx(-0.125)
 
 
+def checkouts(monkeypatch, tmp_path):
+    """A parent and a change checkout under ``tmp_path``, with the report
+    written there; returns the arguments of a three-pair run."""
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    for side in ("parent", "change"):
+        (tmp_path / side).mkdir()
+    (tmp_path / "change" / "BENCHMARK.json").write_text(
+        '{"run_seconds": 1, "end_to_end": [{"name": "agent_steps_per_s", "better": "higher", '
+        '"bound": 0.25}]}')
+    return ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+            "--seeds", "301-303", "--name", "t"]
+
+
 @pytest.mark.parametrize("failed, code", [(None, 0), ((302, "change"), 1)])
 def test_main_writes_the_report_and_exits_1_when_a_run_failed(monkeypatch, tmp_path,
                                                                failed, code):
@@ -47,20 +61,29 @@ def test_main_writes_the_report_and_exits_1_when_a_run_failed(monkeypatch, tmp_p
         return run
 
     monkeypatch.setattr(bench_pairs, "run_once", run_once)
-    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
-    for side in ("parent", "change"):
-        (tmp_path / side).mkdir()
-    (tmp_path / "change" / "BENCHMARK.json").write_text(
-        '{"run_seconds": 1, "end_to_end": [{"name": "agent_steps_per_s", "better": "higher", '
-        '"bound": 0.25}]}')
-    argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
-            "--seeds", "301-303", "--name", "t"]
-    assert bench_pairs.main(argv) == code
+    assert bench_pairs.main(checkouts(monkeypatch, tmp_path)) == code
     report = json.loads((tmp_path / "BENCH_t.json").read_text())
     assert report["failed_runs"] == ([] if failed is None else [list(failed)])
     assert [run["seed"] for run in report["runs"]] == [301, 302, 303]
     verdict = report["metrics"]["w/agent_steps_per_s"]
     assert (verdict["gain"], verdict["within_bound"]) == (False, True)
+
+
+def test_main_keeps_the_finished_pairs_when_a_run_crashes(monkeypatch, tmp_path):
+    """A run that exits non-zero ends the series; the report keeps the pairs
+    run before it, names the crashed run and the exit is 1."""
+    def run_once(checkout, workload, seed, seconds):
+        if (seed, checkout.name) == (302, "change"):
+            raise subprocess.CalledProcessError(1, ["perfbench/run.py"])
+        return result(**{"w/agent_steps_per_s": float(seed)})
+
+    monkeypatch.setattr(bench_pairs, "run_once", run_once)
+    assert bench_pairs.main(checkouts(monkeypatch, tmp_path)) == 1
+    report = json.loads((tmp_path / "BENCH_t.json").read_text())
+    assert report["crashed_runs"] == [[302, "change", 1]]
+    assert report["failed_runs"] == []
+    assert [run["seed"] for run in report["runs"]] == [301]
+    assert report["metrics"]["w/agent_steps_per_s"]["pairs"] == 1
 
 
 def pairs_of(name, parent, change):

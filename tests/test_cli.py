@@ -7,8 +7,10 @@ rendering-heavy commands share module-scoped artifact directories.
 
 import argparse
 import csv
+import io
 import json
 import wave
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -515,6 +517,82 @@ def test_unreadable_or_unwritable_path_exits_2(case, scene_one, sim_dir, tmp_pat
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+def npy_bytes(array) -> bytes:
+    buffer = io.BytesIO()
+    np.save(buffer, array)
+    return buffer.getvalue()
+
+
+def huge_npy_bytes() -> bytes:
+    """A ``.npy`` member whose header declares 2**40 doubles (8 TiB) and
+    whose data is 64 bytes."""
+    buffer = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buffer, {"descr": "<f8", "fortran_order": False, "shape": (2**40,)})
+    return buffer.getvalue() + bytes(64)
+
+
+MODEL_FILE_CASES = ["bad_crc", "truncated", "plain_npy", "encrypted", "strings", "huge_shape",
+                    "complex"]
+
+
+@pytest.mark.parametrize("command, case", [
+    *[("build-dataset", case) for case in MODEL_FILE_CASES + ["fractional_counts"]],
+    *[("eval-localizer", case) for case in MODEL_FILE_CASES],
+])
+def test_malformed_model_file_exits_2(command, case, tmp_path, capsys):
+    """A Q table (``build-dataset --qtable``) or localizer (``eval-localizer
+    --model``) file that is not what its saver writes exits 2 with one
+    ``error:`` line: no traceback (an encrypted member raised RuntimeError),
+    no 8 TiB allocation, and no array read with its imaginary part or its
+    fractions dropped."""
+    if command == "build-dataset":
+        table = agent.new_qtable()
+        arrays = {"values": table.values, "visit_counts": table.visit_counts}
+    else:
+        model = localizer.new_localizer()
+        arrays = {name: getattr(model, name) for name in localizer.MLPLocalizer._SHAPES}
+    first = next(iter(arrays))
+    members = {name: npy_bytes(array) for name, array in arrays.items()}
+    if case == "strings":
+        members[first] = npy_bytes(np.full(arrays[first].shape, "x"))
+    elif case == "complex":
+        members[first] = npy_bytes(arrays[first] + 1j)
+    elif case == "huge_shape":
+        members[first] = huge_npy_bytes()
+    elif case == "fractional_counts":
+        members["visit_counts"] = npy_bytes(np.full(arrays["visit_counts"].shape, 0.5))
+    path = tmp_path / "model.npz"
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in members.items():
+            archive.writestr(name + ".npy", data)
+    data = path.read_bytes()
+    if case == "bad_crc":
+        at = data.index(b"\x93NUMPY") + 200  # inside the first member's data
+        data = data[:at] + bytes([data[at] ^ 0xFF]) + data[at + 1 :]
+    elif case == "truncated":
+        data = data[: len(data) // 2]
+    elif case == "encrypted":  # the first central directory entry's flag bit 0
+        at = data.index(b"PK\x01\x02") + 8
+        data = data[:at] + bytes([data[at] | 1]) + data[at + 1 :]
+    elif case == "plain_npy":
+        data = members[first]
+    path.write_bytes(data)
+
+    out = str(tmp_path / "out")
+    if command == "build-dataset":
+        argv = ["build-dataset", "--qtable", str(path), "--episodes", "1", "--fast",
+                "--out-dir", out]
+    else:
+        records = tmp_path / "records.jsonl"
+        dataset.write_dataset(records, synthetic_records(6, seed=2), meta={})
+        argv = ["eval-localizer", "--model", str(path), "--dataset", str(records),
+                "--fold", "all", "--out-dir", out]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 # ---------------------------------------------------------------------------

@@ -109,122 +109,98 @@ def test_beamformer_bank_structure():
 FRAME = int(round(fe.FRAME_S * sc.SAMPLE_RATE))
 
 
-def bruteforce_salience(bands):
-    """Oracle for :func:`fe.beamform_salience`: shift each zero-padded
-    ``FRAME_S`` frame of both channels by half the bin's lag (linear
-    interpolation), sum, and square, one band and one bin at a time."""
+def clip_salience(bands):
+    """Salience rows of a clip's whole frames, one beamform call per frame."""
+    starts = range(0, bands.shape[2] - FRAME + 1, FRAME)
+    return np.concatenate([fe.beamform_salience(bands[:, :, s : s + FRAME]) for s in starts])
+
+
+def bruteforce_salience(frame):
+    """Oracle for :func:`fe.beamform_salience`: shift both channels of the
+    zero-padded frame by half the bin's lag (linear interpolation), sum, and
+    square, one band and one bin at a time.  Returns shape ``(1, 37)``."""
     lags = fe.make_beamformer_bank().lags
     pad = 64
-    starts = np.arange(0, bands.shape[2] - FRAME + 1, FRAME)
-    naive = np.zeros((len(starts), 37))
-    for fi, s0 in enumerate(starts):
-        totals = np.zeros(37)
-        for b in range(bands.shape[0]):
-            lf = np.pad(bands[b, 0, s0 : s0 + FRAME], (pad, pad))
-            rf = np.pad(bands[b, 1, s0 : s0 + FRAME], (pad, pad))
-            grid = np.arange(len(lf) - 2, dtype=float)
+    totals = np.zeros(37)
+    for b in range(frame.shape[0]):
+        lf = np.pad(frame[b, 0], (pad, pad))
+        rf = np.pad(frame[b, 1], (pad, pad))
+        grid = np.arange(len(lf) - 2, dtype=float)
 
-            def sample(x, d):
-                pos = grid + d
-                i = np.clip(np.floor(pos).astype(int), 0, len(x) - 2)
-                w = pos - np.floor(pos)
-                return (1 - w) * x[i] + w * x[i + 1]
+        def sample(x, d):
+            pos = grid + d
+            i = np.clip(np.floor(pos).astype(int), 0, len(x) - 2)
+            w = pos - np.floor(pos)
+            return (1 - w) * x[i] + w * x[i + 1]
 
-            for bi, lag in enumerate(lags):
-                aligned = sample(lf, lag / 2.0) + sample(rf, -lag / 2.0)
-                totals[bi] += np.sum(aligned**2)
-        if totals.max() > 0:
-            naive[fi] = totals / totals.max()
-    return naive
+        for bi, lag in enumerate(lags):
+            aligned = sample(lf, lag / 2.0) + sample(rf, -lag / 2.0)
+            totals[bi] += np.sum(aligned**2)
+    if totals.max() > 0:
+        totals /= totals.max()
+    return totals[None]
 
 
 def test_beamform_matches_bruteforce_oracle():
-    """Fast algebraic route equals naive shift-and-sum delay-and-sum."""
+    """Fast algebraic route equals naive shift-and-sum delay-and-sum on
+    each frame of a rendered clip."""
     bands = analyzed_clip(30.0)
-    fast = fe.beamform_salience(bands)
-    np.testing.assert_allclose(fast, bruteforce_salience(bands), atol=1e-10)
+    for s0 in range(0, bands.shape[2], FRAME):
+        frame = bands[:, :, s0 : s0 + FRAME]
+        np.testing.assert_allclose(fe.beamform_salience(frame), bruteforce_salience(frame),
+                                   atol=1e-10)
 
 
 def test_beamform_matches_bruteforce_on_generated_signals():
-    """Band counts 1-4, one to three frames plus a partial frame, random
-    band signals over twelve decades of gain, and silent channels or bands."""
+    """Band counts 1-8, random one-frame band signals over twelve decades of
+    gain, and silent channels or bands."""
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=25, deadline=None, database=None)
     @hyp.given(
-        num_bands=st.integers(1, 4),
-        frames=st.integers(1, 3),
-        tail=st.integers(0, 4799),
+        num_bands=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
         log_gain=st.floats(-6.0, 6.0),
         silent=st.sampled_from(["none", "left", "right", "band", "all"]),
     )
-    def check(num_bands, frames, tail, seed, log_gain, silent):
-        n = frames * FRAME + tail
-        bands = 10.0**log_gain * np.random.default_rng(seed).standard_normal((num_bands, 2, n))
+    def check(num_bands, seed, log_gain, silent):
+        frame = 10.0**log_gain * np.random.default_rng(seed).standard_normal((num_bands, 2, FRAME))
         if silent == "left":
-            bands[:, 0] = 0.0
+            frame[:, 0] = 0.0
         elif silent == "right":
-            bands[:, 1] = 0.0
+            frame[:, 1] = 0.0
         elif silent == "band":
-            bands[0] = 0.0
+            frame[0] = 0.0
         elif silent == "all":
-            bands[:] = 0.0
-        fast = fe.beamform_salience(bands)
-        assert fast.shape == (frames, 37)
-        np.testing.assert_allclose(fast, bruteforce_salience(bands), rtol=0, atol=1e-10)
-
-    check()
-
-
-def test_beamform_row_depends_on_its_frame_only():
-    """Beamforming a buffer of 1-6 frames in one call gives, bit for bit,
-    the rows of beamforming each frame's own samples (copied out, so laid
-    out differently in memory).  The streaming tracker relies on it: how
-    its feeds split the signal must not change the posterior."""
-    hyp = pytest.importorskip("hypothesis")
-    st = hyp.strategies
-
-    @hyp.settings(max_examples=25, deadline=None, database=None)
-    @hyp.given(
-        num_bands=st.integers(1, 32),
-        frames=st.integers(1, 6),
-        tail=st.integers(0, 4799),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def check(num_bands, frames, tail, seed):
-        n = frames * FRAME + tail
-        bands = np.random.default_rng(seed).standard_normal((num_bands, 2, n))
-        whole = fe.beamform_salience(bands)
-        assert whole.shape == (frames, 37)
-        for f, row in enumerate(whole):
-            own = bands[:, :, f * FRAME : (f + 1) * FRAME].copy()
-            assert np.array_equal(fe.beamform_salience(own), row[None])
+            frame[:] = 0.0
+        fast = fe.beamform_salience(frame)
+        assert fast.shape == (1, 37)
+        np.testing.assert_allclose(fast, bruteforce_salience(frame), rtol=0, atol=1e-10)
 
     check()
 
 
 @pytest.mark.parametrize("num_bands", [8, 32])
-@pytest.mark.parametrize("tail", [0, 1234])
-def test_beamform_rows_do_not_depend_on_call_order(num_bands, tail):
+def test_beamform_rows_do_not_depend_on_call_order(num_bands):
     """Calls with the same band count share one zero-padded transform
-    buffer.  Two inputs give the same rows bit for bit in either order as
+    buffer.  Two frames give the same rows bit for bit in either order as
     with a fresh buffer each, so no call leaves samples in the padding."""
-    rng = np.random.default_rng(num_bands + tail)
-    inputs = (1e3 * rng.standard_normal((num_bands, 2, 3 * FRAME + tail)),
-              rng.standard_normal((num_bands, 2, 2 * FRAME + tail)))
+    rng = np.random.default_rng(num_bands)
+    frames = (1e3 * rng.standard_normal((num_bands, 2, FRAME)),
+              rng.standard_normal((num_bands, 2, FRAME)))
     fresh = []
-    for bands in inputs:
+    for frame in frames:
         fe._transform_buffer.cache_clear()
-        fresh.append(fe.beamform_salience(bands))
+        fresh.append(fe.beamform_salience(frame))
     for order in ((0, 1, 0), (1, 0, 1)):
         for i in order:
-            assert np.array_equal(fe.beamform_salience(inputs[i]), fresh[i])
+            assert np.array_equal(fe.beamform_salience(frames[i]), fresh[i])
 
 
 def test_beamform_identical_channels_symmetric_peak_at_zero():
-    sal = fe.beamform_salience(analyzed_clip(0.0)[:, [0, 0]])
+    sal = clip_salience(analyzed_clip(0.0)[:, [0, 0]])
+    assert sal.shape == (3, 37)
     for row in sal:
         np.testing.assert_allclose(row, row[::-1], atol=1e-9)
         assert int(np.argmax(row)) == 18  # the 0 degree bin
@@ -233,30 +209,36 @@ def test_beamform_identical_channels_symmetric_peak_at_zero():
 
 def test_beamform_swap_mirrors_salience():
     bands = analyzed_clip(45.0)
-    sal = fe.beamform_salience(bands)
-    swapped = fe.beamform_salience(bands[:, ::-1])
+    sal = clip_salience(bands)
+    swapped = clip_salience(bands[:, ::-1])
     np.testing.assert_allclose(swapped, sal[:, ::-1], atol=1e-6)
 
 
 def test_beamform_argmax_tracks_source():
-    bands = analyzed_clip(30.0, duration=0.4, noise=0.03)
-    for row in fe.beamform_salience(bands):
+    sal = clip_salience(analyzed_clip(30.0, duration=0.4, noise=0.03))
+    assert sal.shape == (4, 37)
+    for row in sal:
         assert abs(fe.AZIMUTH_BINS[int(np.argmax(row))] - 30.0) <= 5.0
 
 
 def test_beamform_silent_input_all_zero():
-    sal = fe.beamform_salience(np.zeros((4, 2, 20000)))
-    assert sal.shape[0] >= 1
+    sal = fe.beamform_salience(np.zeros((4, 2, FRAME)))
+    assert sal.shape == (1, 37)
     assert not sal.any()
+    posterior = fe.AzimuthTracker(4).feed(np.zeros((2, 20000)))
+    np.testing.assert_allclose(posterior.probs, 1.0 / 37, atol=1e-12)
 
 
-def test_beamform_rejects_frame_longer_than_signal():
-    with pytest.raises(DomainError):
-        fe.beamform_salience(np.ones((2, 2, 100)))
+def test_beamform_takes_exactly_one_frame():
+    """A frame one sample short or long, two frames, or a few samples are
+    not a frame."""
+    for n in (FRAME - 1, FRAME + 1, 2 * FRAME, 100):
+        with pytest.raises(DomainError, match="frame must have shape"):
+            fe.beamform_salience(np.ones((2, 2, n)))
 
 
 def test_beamform_takes_stereo_bands_only():
-    for shape in [(9600,), (2, 9600), (2, 1, 9600), (2, 3, 9600)]:
+    for shape in [(FRAME,), (2, FRAME), (2, 1, FRAME), (2, 3, FRAME), (1, 2, 2, FRAME)]:
         with pytest.raises(DomainError):
             fe.beamform_salience(np.ones(shape))
 
@@ -357,10 +339,7 @@ def test_localization_soundness_two_quick_cases():
     for az in (-30.0, 60.0):
         scene = speaker_scene(az, noise=0.08)
         clip = sc.render_binaural(scene, sc.HeadPose(0, 0), 0.0, 1.0, seed=int(200 + az))
-        bands = fe.GammatoneStream(fe.make_gammatone_bank()).process(clip.audio)
-        post = fe.uniform_posterior()
-        for row in fe.beamform_salience(bands):
-            post = fe.update_posterior(post, row)
+        post = fe.AzimuthTracker().feed(clip.audio)
         assert abs(fe.estimate_location(post) - az) <= 5.0
 
 

@@ -1,9 +1,9 @@
 """Property-based fuzzing of the file readers and the ``simulate`` and
 ``avsync`` commands.
 
-Whatever bytes a scene, dataset, mouth-area or WAV file holds, only
-:class:`CocktailError` subclasses may escape a reader, and ``cocktail
-simulate`` and ``cocktail avsync --wav`` may exit only 0, 2 or 3.
+Whatever bytes a scene, dataset, mouth-area, WAV, Q-table or localizer file
+holds, only :class:`CocktailError` subclasses may escape a reader, and
+``cocktail simulate`` and ``cocktail avsync --wav`` may exit only 0, 2 or 3.
 """
 
 import json
@@ -17,7 +17,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from cocktail import cli
+from cocktail import agent, cli, localizer
 from cocktail.dataset import LabeledRecord, read_dataset, write_dataset
 from cocktail.errors import CocktailError
 from cocktail.features import FEATURE_DIM
@@ -249,3 +249,40 @@ def test_wav_reader_and_avsync_on_mutated_bytes(edits, keep):
                          str(write(d, "mouth.csv", MOUTH_6)), "--window-s", "0.3",
                          "--out-dir", d])
     assert code in (0, 2, 3)
+
+
+def _saved_bytes(save, model) -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = Path(d) / "model.npz"
+        save(path, model)
+        return path.read_bytes()
+
+
+MODEL_FILES = {
+    "qtable": (_saved_bytes(agent.save_qtable, agent.new_qtable()), agent.load_qtable),
+    "localizer": (_saved_bytes(localizer.save_localizer, localizer.new_localizer()),
+                  localizer.load_localizer),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MODEL_FILES))
+@FUZZ
+@given(
+    edits=st.lists(
+        # Positions near either end hit the first member's zip and .npy
+        # headers or the central directory; the rest land anywhere.
+        st.tuples(st.one_of(st.integers(0, 300), st.integers(-1000, -1),
+                            st.integers(0, 2**17)),
+                  st.integers(0, 255), st.sampled_from(["replace", "insert", "delete"])),
+        min_size=1, max_size=4,
+    ),
+    keep=st.one_of(st.none(), st.integers(0, 2**17)),
+)
+def test_model_readers_on_mutated_bytes_raise_only_package_errors(kind, edits, keep):
+    valid, load = MODEL_FILES[kind]
+    edits = [(pos % len(valid), byte, how) for pos, byte, how in edits]
+    with tempfile.TemporaryDirectory() as d:
+        try:
+            load(write(d, "model.npz", mutate(valid, edits)[:keep]))
+        except CocktailError:
+            pass

@@ -19,7 +19,9 @@ the change's median relative to the parent's, the pairs the change won
 It writes all of it, every run included, to ``BENCH_<name>.json`` at the
 root of the repository this script sits in.
 It exits 1, after writing the report, when any run failed a check or an
-operation, and 0 otherwise.
+operation, or crashed, and 0 otherwise.  A run that exits non-zero ends the
+series: the report holds the pairs finished before it and names the crashed
+run by seed, side and exit code.
 """
 
 from __future__ import annotations
@@ -112,14 +114,20 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
     bounds = {m["name"]: m["bound"] for m in bench["end_to_end"] if "bound" in m}
 
-    pairs = []
+    pairs, crashed = [], []
     for i, seed in enumerate(seed_list(args.seeds)):
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
-            pair[side] = run_once(getattr(args, side), args.workload, seed, seconds)
+            try:
+                pair[side] = run_once(getattr(args, side), args.workload, seed, seconds)
+            except subprocess.CalledProcessError as exc:
+                crashed.append([seed, side, exc.returncode])
+                break
             print(f"pair {i} seed {seed} {side}: correct {pair[side]['correct']}, "
                   f"failed {pair[side]['failed']} of {pair[side]['attempted']}", flush=True)
+        if crashed:
+            break
         pairs.append(pair)
 
     report = {
@@ -128,10 +136,12 @@ def main(argv=None) -> int:
         "seeds": seed_list(args.seeds),
         "parent": revision(args.parent),
         "change": revision(args.change),
-        "metrics": compare(pairs, better, bounds),
+        "metrics": compare(pairs, better, bounds) if pairs else {},
         # Runs that failed a check or an operation, as [seed, side].
         "failed_runs": [[p["seed"], side] for p in pairs for side in ("parent", "change")
                         if not p[side]["correct"] or p[side]["failed"]],
+        # The run that exited non-zero, as [seed, side, exit code].
+        "crashed_runs": crashed,
         "runs": pairs,
     }
     path = ROOT / f"BENCH_{args.name}.json"
@@ -145,8 +155,9 @@ def main(argv=None) -> int:
     if report["failed_runs"]:
         print(f"runs that failed a check or an operation: {report['failed_runs']}",
               file=sys.stderr)
-        return 1
-    return 0
+    if crashed:
+        print(f"run that crashed, as [seed, side, exit code]: {crashed[0]}", file=sys.stderr)
+    return 1 if report["failed_runs"] or crashed else 0
 
 
 if __name__ == "__main__":
