@@ -182,17 +182,21 @@ def test_beamform_matches_bruteforce_on_generated_signals():
 
 
 @pytest.mark.parametrize("num_bands", [8, 32])
-def test_beamform_rows_do_not_depend_on_call_order(num_bands):
+@pytest.mark.parametrize("offset", [0, 1234])
+def test_beamform_rows_do_not_depend_on_call_order(num_bands, offset):
     """Calls with the same band count share one zero-padded transform
     buffer.  Two frames give the same rows bit for bit in either order as
-    with a fresh buffer each, so no call leaves samples in the padding."""
-    rng = np.random.default_rng(num_bands)
-    frames = (1e3 * rng.standard_normal((num_bands, 2, FRAME)),
-              rng.standard_normal((num_bands, 2, FRAME)))
+    with a fresh buffer each, so no call leaves samples in the padding.
+    Each frame is a strided view at ``offset`` into a longer signal, and its
+    row equals that of a contiguous copy, so memory layout does not matter."""
+    rng = np.random.default_rng(num_bands + offset)
+    signals = (1e3 * rng.standard_normal((num_bands, 2, 2 * FRAME)),
+               rng.standard_normal((num_bands, 2, 2 * FRAME)))
+    frames = tuple(s[:, :, offset : offset + FRAME] for s in signals)
     fresh = []
     for frame in frames:
         fe._transform_buffer.cache_clear()
-        fresh.append(fe.beamform_salience(frame))
+        fresh.append(fe.beamform_salience(frame.copy()))
     for order in ((0, 1, 0), (1, 0, 1)):
         for i in order:
             assert np.array_equal(fe.beamform_salience(frames[i]), fresh[i])
