@@ -22,10 +22,19 @@ cross-correlation at a few dozen lags, computed by one batched FFT of frame
 length.  The tracker's frames step by one frame and do not overlap, so each
 sample is analyzed once.  The result matches brute-force delay-and-sum to
 rounding error, and channel swap maps exactly onto lag negation.
+
+The per-band work runs on ``min(2, usable CPUs)`` threads: the caller and
+one helper thread filter the bands (:func:`_on_two_threads`), and the
+forward FFT splits its rows over as many of scipy's FFT worker threads.
+Each band, channel and FFT row is computed alone and everything summed
+over bands stays on the caller, so no output depends on the thread count.
 """
 
 from __future__ import annotations
 
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -62,6 +71,60 @@ TEMPERATURE_TAU = 0.2
 
 _EAR_Q = 9.26449
 _MIN_BW = 24.7
+
+
+# ---------------------------------------------------------------------------
+# Two threads
+# ---------------------------------------------------------------------------
+
+
+def _thread_count():
+    """Threads the per-band work runs on: ``min(2, usable CPUs)``, where the
+    usable CPUs are those the process may run on."""
+    try:
+        usable = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        usable = os.cpu_count() or 1
+    return min(2, usable)
+
+
+_helper = None
+_helper_lock = threading.Lock()
+
+
+def _drop_helper():
+    """In a forked child the helper thread is gone, yet its executor would
+    still count it and queue work for it forever; the child starts afresh."""
+    global _helper, _helper_lock
+    _helper, _helper_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # no fork, hence no hook, on Windows
+    os.register_at_fork(after_in_child=_drop_helper)
+
+
+def _on_two_threads(work, n):
+    """Run ``work(lo, hi)`` over the index range ``0 .. n``.
+
+    With two usable CPUs one persistent helper thread, made on first use,
+    runs ``work(n // 2, n)`` while the caller runs ``work(0, n // 2)``; the
+    caller returns once both are done and re-raises the helper's exception.
+    With one CPU the caller runs ``work(0, n)`` alone.  ``work`` must touch
+    disjoint data in the two halves; each half then computes what a serial
+    run would, so no result depends on the thread count.
+    """
+    global _helper
+    if _thread_count() < 2:
+        work(0, n)
+        return
+    with _helper_lock:
+        if _helper is None:
+            _helper = ThreadPoolExecutor(max_workers=1, thread_name_prefix="cocktail-frontend")
+        future = _helper.submit(work, n // 2, n)
+    try:
+        work(0, n // 2)
+    finally:
+        future.result()
 
 
 def erb_space(n):
@@ -169,6 +232,12 @@ class GammatoneStream:
         returned; the result is the same bit for bit.  The filter kernel runs
         on each band's one-channel ``(1, n)`` rows, which are C-contiguous in
         any such array.
+
+        The bands are split between two threads (see
+        :func:`_on_two_threads`): a helper filters bands ``nb // 2 ..`` while
+        the caller filters the rest.  Each band and channel keeps its own
+        filter state and SciPy's filter releases the interpreter lock, so the
+        output does not depend on the thread count.
         """
         x = as_stereo(x)
         if x.shape[1] == 0:
@@ -178,20 +247,21 @@ class GammatoneStream:
             out = np.empty(shape)
         elif out.shape != shape or out.dtype != np.float64 or out.strides[-1] != 8:
             raise DomainError(f"out must be a float64 {shape} array, contiguous along time")
-        if _sosfilt_kernel is not None:
-            for b in range(self.bank.num_bands):
-                for c in range(2):
-                    row = out[b, c : c + 1]
-                    row[...] = x[c : c + 1]
-                    _sosfilt_kernel(self.bank.sos[b], row, self._zi[b, c : c + 1])
-        else:
-            for b in range(self.bank.num_bands):
-                y, zf = sosfilt(
-                    self.bank.sos[b], x, axis=-1,
-                    zi=np.moveaxis(self._zi[b], 0, 1),
-                )
-                out[b] = y
-                self._zi[b] = np.moveaxis(zf, 1, 0)
+        sos, zi = self.bank.sos, self._zi
+
+        def filter_bands(lo, hi):
+            for b in range(lo, hi):
+                if _sosfilt_kernel is not None:
+                    for c in range(2):
+                        row = out[b, c : c + 1]
+                        row[...] = x[c : c + 1]
+                        _sosfilt_kernel(sos[b], row, zi[b, c : c + 1])
+                else:
+                    y, zf = sosfilt(sos[b], x, axis=-1, zi=np.moveaxis(zi[b], 0, 1))
+                    out[b] = y
+                    zi[b] = np.moveaxis(zf, 1, 0)
+
+        _on_two_threads(filter_bands, self.bank.num_bands)
         return out
 
 
@@ -267,7 +337,10 @@ def _transform_buffer(nb):
     by every call with ``nb`` bands: rows ``0 .. nb - 1`` hold L shifted
     right by ``k0``, rows ``nb ..`` hold R.  Each frame overwrites only those
     spans, so the zero padding around them is laid down once per process.
-    Sharing it is safe because the program beamforms on one thread."""
+    Sharing it is safe because the program calls :func:`beamform_salience`
+    from one thread.  That thread fills the buffer; the forward transform
+    splits the rows over ``_thread_count()`` pocketfft threads, which only
+    read it and are done before the call returns."""
     return np.zeros((2 * nb, _NFFT))
 
 
@@ -302,7 +375,10 @@ def beamform_salience(frame):
     stacked = _transform_buffer(nb)
     stacked[:nb, k0 : k0 + _FRAME] = lf
     stacked[nb:, :_FRAME] = rf
-    spec = sfft.rfft(stacked, axis=1)
+    # pocketfft transforms each row alone, so splitting the rows between
+    # threads leaves every bit in place.  The band sum and everything after
+    # it stay on the caller, in one order, to keep the rounding fixed.
+    spec = sfft.rfft(stacked, axis=1, workers=_thread_count())
     cc = sfft.irfft((spec[:nb] * np.conj(spec[nb:])).sum(axis=0), _NFFT)
 
     (a_l, b_l), (a_r, b_r) = bank.self_weights
@@ -398,7 +474,9 @@ class AzimuthTracker:
     :func:`beamform_salience` and folds the row into the posterior.  A
     partial frame waits in the buffer for the next feed, so no sample is
     filtered or beamformed twice, and feeding a signal in any chunking gives
-    the same posterior as one feed of the whole signal.
+    the same posterior as one feed of the whole signal.  The filter and the
+    beamform's forward FFT each split a frame's bands over two threads when
+    two CPUs are usable; the posterior is the same bit for bit on one.
     """
 
     def __init__(self, num_bands=NUM_BANDS):

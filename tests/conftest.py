@@ -2,6 +2,7 @@
 
 import pytest
 
+from cocktail import frontend
 from cocktail.localizer import new_localizer
 
 
@@ -13,3 +14,14 @@ def zero_model():
     for _, arr in model.parameters():
         arr[:] = 0.0
     return model
+
+
+@pytest.fixture
+def frontend_threads(monkeypatch):
+    """``frontend_threads(k)`` runs the frontend's per-band work on ``k``
+    threads from then on, whatever the machine's CPUs."""
+
+    def use(k):
+        monkeypatch.setattr(frontend, "_thread_count", lambda: k)
+
+    return use

@@ -325,6 +325,24 @@ def test_full_fidelity_episode_already_fixating_succeeds_in_hold_steps():
     assert [(c.pan_deg, c.tilt_deg) for c in result.captures] == [(0.0, 0.0)]
 
 
+@pytest.mark.parametrize("config", [FAST, AgentConfig()], ids=["fast", "full"])
+def test_run_episode_does_not_depend_on_the_frontend_thread_count(frontend_threads, config):
+    """A learning, exploring episode on one frontend thread and on two gives
+    the same result and Q table bit for bit."""
+    runs = []
+    for threads in (1, 2):
+        frontend_threads(threads)
+        qt = new_qtable()
+        r = run_episode(single_speaker_scene(70.0, 0.0), HeadPose(0.0, 0.0), qt, config=config,
+                        rng=np.random.default_rng(4), epsilon=0.5, learn=True, render_seed=6)
+        captures = [(c.time_s, c.pan_deg, c.tilt_deg, c.audio.tobytes(), c.posterior_peak)
+                    for c in r.captures]
+        runs.append((r.success, r.steps, r.total_reward, r.final_pose, r.trajectory, captures,
+                     qt.values.tobytes(), qt.visit_counts.tobytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][1] > 1 and runs[0][5]
+
+
 def test_run_episode_captures_initial_pose_evidence():
     scene = single_speaker_scene(0.0, 0.0)
     result = run_episode(scene, HeadPose(0.0, 0.0), new_qtable(), config=FAST)

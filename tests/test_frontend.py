@@ -1,6 +1,12 @@
 """Tests for the auditory frontend: gammatone bank, beamformers, posterior."""
 
+import multiprocessing
+import os
+import subprocess
+import sys
+import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -587,3 +593,207 @@ def test_tracker_rejects_an_empty_chunk():
         tracker.feed(np.zeros((2, 0)))
     assert tracker._kept == 0
     assert np.array_equal(tracker.posterior.probs, fe.uniform_posterior().probs)
+
+
+# ---------------------------------------------------------------------------
+# Two threads
+
+
+def test_thread_count_is_two_at_most_and_never_more_than_the_usable_cpus(monkeypatch):
+    """``min(2, CPUs the process may run on)``; without an affinity call,
+    ``min(2, os.cpu_count())``, and 1 when that is unknown."""
+    for cpus, threads in [(1, 1), (2, 2), (64, 2)]:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        assert fe._thread_count() == threads
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    for cpus, threads in [(None, 1), (1, 1), (2, 2), (64, 2)]:
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert fe._thread_count() == threads
+
+
+@pytest.mark.parametrize("kernel", [True, False], ids=["kernel", "fallback"])
+def test_gammatone_bits_do_not_depend_on_the_thread_count(monkeypatch, frontend_threads, kernel):
+    """One thread and two give the same bands bit for bit, over random
+    chunkings, at 1, 3, 8 and 32 bands (an odd count splits unevenly; one
+    band leaves the caller's half empty), through SciPy's private kernel and
+    through the public ``sosfilt`` fallback."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    if not kernel:
+        monkeypatch.setattr(fe, "_sosfilt_kernel", None)
+
+    @hyp.settings(max_examples=20, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.sampled_from([1, 3, 8, 32]),
+        n=st.integers(1, 6000),
+        fractions=st.lists(st.floats(0.0, 1.0), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def check(num_bands, n, fractions, seed):
+        x = np.random.default_rng(seed).standard_normal((2, n))
+        edges = sorted({0, n, *(int(f * n) for f in fractions)})
+        bands = []
+        for threads in (1, 2):
+            frontend_threads(threads)
+            bands.append(stream_bands(x, np.diff(edges), num_bands=num_bands))
+        assert np.array_equal(bands[0], bands[1])
+
+    check()
+
+
+def test_beamform_bits_do_not_depend_on_the_thread_count(frontend_threads):
+    """One thread and two give the same row bit for bit, on random frames
+    of 1, 3, 8 and 32 bands over twelve decades of gain."""
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=20, deadline=None, database=None)
+    @hyp.given(
+        num_bands=st.sampled_from([1, 3, 8, 32]),
+        seed=st.integers(0, 2**32 - 1),
+        log_gain=st.floats(-6.0, 6.0),
+    )
+    def check(num_bands, seed, log_gain):
+        frame = 10.0**log_gain * np.random.default_rng(seed).standard_normal((num_bands, 2, FRAME))
+        rows = []
+        for threads in (1, 2):
+            frontend_threads(threads)
+            rows.append(fe.beamform_salience(frame))
+        assert np.array_equal(rows[0], rows[1])
+
+    check()
+
+
+@pytest.fixture
+def fresh_helper(monkeypatch):
+    """No frontend helper thread yet; the one the test makes is shut down
+    after it."""
+    monkeypatch.setattr(fe, "_helper", None)
+    yield
+    if fe._helper is not None:
+        fe._helper.shutdown()
+
+
+def helper_threads():
+    return [t for t in threading.enumerate() if t.name.startswith("cocktail-frontend")]
+
+
+def test_one_usable_cpu_starts_no_helper_thread(monkeypatch, fresh_helper):
+    """With one usable CPU the caller filters every band and no thread
+    starts; with two, one helper starts.  The posteriors are the same."""
+    x = np.random.default_rng(8).standard_normal((2, 3 * FRAME + 17))
+    threads = threading.active_count()
+    posteriors = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        posteriors.append(fe.AzimuthTracker(8).feed(x).probs)
+        assert threading.active_count() == threads + cpus - 1
+    assert np.array_equal(posteriors[0], posteriors[1])
+
+
+@pytest.mark.skipif(not (hasattr(os, "sched_setaffinity") and os.path.isdir("/proc/self/task")),
+                    reason="needs Linux CPU affinity")
+def test_one_usable_cpu_starts_no_native_thread_either():
+    """A fresh process pinned to one CPU filters and beamforms 32 bands
+    without starting a thread of any kind: neither the helper nor
+    pocketfft's worker pool, which holds as many threads as the machine has
+    CPUs, whatever the affinity."""
+    script = (
+        "import os, numpy as np\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "from cocktail import frontend as fe\n"
+        "before = len(os.listdir('/proc/self/task'))\n"
+        "fe.AzimuthTracker(32).feed(np.random.default_rng(0).standard_normal((2, 9601)))\n"
+        "after = len(os.listdir('/proc/self/task'))\n"
+        "assert after == before, (before, after)\n"
+    )
+    src = str(Path(fe.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True,
+                           timeout=120)
+    assert child.returncode == 0, child.stderr
+
+
+def test_concurrent_callers_share_one_helper_thread(monkeypatch, frontend_threads, fresh_helper):
+    """Four threads filtering at once, more than the cores, make one helper
+    between them and never more, and each gets the bands of one thread."""
+    made = []
+
+    class CountedExecutor(fe.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(fe, "ThreadPoolExecutor", CountedExecutor)
+    rng = np.random.default_rng(14)
+    signals = [rng.standard_normal((2, 2 * FRAME)) for _ in range(4)]
+    chunks = [FRAME // 3] * 5 + [2 * FRAME - 5 * (FRAME // 3)]
+    frontend_threads(1)
+    expect = [stream_bands(x, chunks, num_bands=3) for x in signals]
+    frontend_threads(2)
+    got = [None] * len(signals)
+
+    def filter_one(i):
+        got[i] = stream_bands(signals[i], chunks, num_bands=3)
+
+    before = len(helper_threads())
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=filter_one, args=(i,)) for i in range(len(signals))]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(caller.is_alive() for caller in callers)
+    assert len(made) == 1 and len(helper_threads()) == before + 1
+    for a, b in zip(got, expect):
+        assert np.array_equal(a, b)
+
+
+@pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(), reason="needs fork")
+def test_a_forked_child_filters_without_hanging(frontend_threads):
+    """A child forked after the helper started has no helper thread; it
+    makes its own and feeds on to the parent's posterior, not forever."""
+    frontend_threads(2)
+    x = np.random.default_rng(9).standard_normal((2, 3 * FRAME))
+    tracker = fe.AzimuthTracker(8)
+    tracker.feed(x[:, :FRAME])
+    assert fe._helper is not None
+    expect = fe.AzimuthTracker(8).feed(x).probs
+
+    def feed_on():
+        assert np.array_equal(tracker.feed(x[:, FRAME:]).probs, expect)
+
+    child = multiprocessing.get_context("fork").Process(target=feed_on)
+    child.start()
+    child.join(timeout=60)
+    if child.is_alive():
+        child.kill()
+        child.join()
+    assert child.exitcode == 0
+
+
+def test_an_error_in_the_helper_half_reaches_the_caller(monkeypatch, frontend_threads):
+    """The kernel raising on a band of the helper's half raises from
+    ``process``; the next stream filters as before."""
+    frontend_threads(2)
+    bank = fe.make_gammatone_bank(num_bands=8)
+    kernel = fe._sosfilt_kernel
+    raised_on = []
+
+    def failing(sos, x, zi):
+        if np.array_equal(sos, bank.sos[6]):
+            raised_on.append(threading.current_thread().name)
+            raise RuntimeError("band 6")
+        kernel(sos, x, zi)
+
+    monkeypatch.setattr(fe, "_sosfilt_kernel", failing)
+    x = np.random.default_rng(2).standard_normal((2, 1000))
+    with pytest.raises(RuntimeError, match="band 6"):
+        fe.GammatoneStream(bank).process(x)
+    assert len(raised_on) == 1 and raised_on[0].startswith("cocktail-frontend")
+    monkeypatch.setattr(fe, "_sosfilt_kernel", kernel)
+    assert np.array_equal(fe.GammatoneStream(bank).process(x), oracle_bands(x))
