@@ -233,11 +233,10 @@ class GammatoneStream:
         on each band's one-channel ``(1, n)`` rows, which are C-contiguous in
         any such array.
 
-        The bands are split between two threads (see
-        :func:`_on_two_threads`): a helper filters bands ``nb // 2 ..`` while
-        the caller filters the rest.  Each band and channel keeps its own
-        filter state and SciPy's filter releases the interpreter lock, so the
-        output does not depend on the thread count.
+        When two CPUs are usable a helper thread filters bands ``nb // 2 ..``
+        while the caller filters the rest (:func:`_on_two_threads`).  Each
+        band and channel keeps its own filter state and SciPy's filter
+        releases the interpreter lock, so the bits are those of one thread.
         """
         x = as_stereo(x)
         if x.shape[1] == 0:
